@@ -1,38 +1,29 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 when a verification fails (a ``verify`` suite
-check or an ``oracle`` census mismatch), 2 on usage errors (bad flags,
-out-of-range arguments, refused budgets).
+Every command builds its header, rows and JSON payload once and prints them
+through ``tables.render``.  Exit codes: 0 on success, 1 when a verification
+fails (a ``verify`` suite check or an ``oracle`` census mismatch), 2 on usage
+errors (bad or conflicting flags, out-of-range arguments, refused budgets
+and sizes).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
+import os
 import sys
 from fractions import Fraction
-from typing import Any
 
 import click
 
-from .characters import (
-    a_character,
-    b_character,
-    b_character_signed,
-    braid_character,
-)
+from .characters import a_character, b_character, b_character_signed, braid_character
 from .fforacle import DEFAULT_BUDGET, BudgetError, census_vs_theory
-from .measures import splitting_coefficients
-from .partitions import (
-    class_data,
-    format_partition,
-    parse_partition,
-    partitions,
-)
+from .partitions import format_partition, parse_partition, partitions
 from .ratpoly import cycle_polynomial
 from .specht import decompose
-from .tables import FORMATS, TABLE_NAMES, emit_table
+from .tables import (
+    COMMAND_LIMITS, FORMATS, TABLE_NAMES, emit_table, json_number, measures_table, render,
+    terms_json,
+)
 from .verify import SUITE_NAMES, VerifyLimits, run_suite
 
 
@@ -43,45 +34,31 @@ def _fraction(text: str) -> Fraction:
         raise click.UsageError(f"expected a rational like 3 or -2/5, got {text!r}: {exc}")
 
 
-def _rat_json(x) -> Any:
-    """Exact JSON value: int when integral, "p/q" string otherwise."""
-    frac = Fraction(x)
-    if frac.denominator == 1:
-        return int(frac)
-    return str(frac)
+def _check_size(command: str, n: int) -> None:
+    """Refuse sizes above the command's measured limit before any work starts."""
+    limit = COMMAND_LIMITS[command]
+    if n > limit:
+        raise click.UsageError(
+            f"{command} is limited to n <= {limit}, the largest size measured to "
+            f"finish within about 5 s; got n = {n}"
+        )
 
 
-def _parse_lambda(text: str) -> tuple[int, ...]:
-    try:
-        return parse_partition(text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+def format_option(choices: tuple[str, ...] = FORMATS):
+    return click.option(
+        "--format", "fmt", type=click.Choice(choices), default="text", show_default=True,
+        help="Output format.",
+    )
 
 
-def _echo_csv(header: list[str], rows: list[list[Any]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    click.echo(buf.getvalue(), nl=False)
-
-
-def _echo_aligned(header: list[str], rows: list[list[Any]]) -> None:
-    cells = [header] + [[str(c) for c in row] for row in rows]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    for r, row in enumerate(cells):
-        click.echo("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-        if r == 0:
-            click.echo("  ".join("-" * w for w in widths))
-
-
-format_option = click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(FORMATS),
-    default="text",
-    show_default=True,
-    help="Output format.",
+workers_option = click.option(
+    "--workers",
+    type=click.IntRange(1, os.cpu_count() or 1),
+    default=None,
+    help="Census worker processes, from 1 to the CPU count.",
+)
+degree_option = click.option(
+    "--n", type=click.IntRange(min=1), required=True, help="Symmetric group degree."
 )
 
 
@@ -92,150 +69,100 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Degree (partition size).")
+@degree_option
 @click.option("--z", "z_text", default=None, help="Evaluate at this rational.")
 @click.option(
     "--per-element",
     is_flag=True,
-    help="Divide evaluated values by the class size.",
+    help="Divide evaluated values by the class size (needs --z).",
 )
-@format_option
+@format_option()
 def measure(n: int, z_text: str | None, per_element: bool, fmt: str) -> None:
     """Splitting measure coefficients, one row per partition of n."""
-    if n < 1:
-        raise click.UsageError(f"--n must be at least 1, got {n}")
+    _check_size("measure", n)
+    if per_element and z_text is None:
+        raise click.UsageError("--per-element needs --z")
     z = _fraction(z_text) if z_text is not None else None
-    rows = []
-    for lam in partitions(n):
-        cls = class_data(lam)
-        m = splitting_coefficients(lam)
-        row: dict[str, Any] = {
-            "partition": format_partition(lam),
-            "class_size": cls.class_size,
-            "centralizer_order": cls.centralizer_order,
-            "alpha": [str(a) for a in m.alpha],
-        }
-        if z is not None:
-            try:
-                row["value"] = m.value(z, per_element=per_element)
-            except ValueError as exc:
-                raise click.UsageError(str(exc))
-        rows.append(row)
-
-    if fmt == "json":
-        payload = {
-            "n": n,
-            "z": str(z) if z is not None else None,
-            "per_element": per_element,
-            "order": "reverse-lex",
-            "rows": [
-                {**r, **({"value": _rat_json(r["value"])} if z is not None else {})}
-                for r in rows
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2))
-        return
-    width = len(rows[-1]["alpha"])
-    header = ["partition", "class_size", "centralizer_order"] + [
-        f"alpha_{k}" for k in range(width)
-    ]
-    if z is not None:
-        header.append("value")
-    table = []
-    for r in rows:
-        line = [r["partition"], r["class_size"], r["centralizer_order"], *r["alpha"]]
-        if z is not None:
-            line.append(str(r["value"]))
-        table.append(line)
-    if fmt == "csv":
-        _echo_csv(header, table)
-    else:
-        _echo_aligned(header, table)
+    try:
+        header, rows, json_rows = measures_table(n, z, per_element)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    payload = {
+        "n": n,
+        "z": str(z) if z is not None else None,
+        "per_element": per_element,
+        "order": "reverse-lex",
+        "rows": json_rows,
+    }
+    click.echo(render(fmt, header, rows, payload), nl=False)
 
 
 @main.command("cycle-poly")
 @click.option("--lambda", "lam_text", required=True, help="Partition, e.g. 3,1,1.")
 @click.option("--z", "z_text", default=None, help="Evaluate at this rational.")
-@format_option
+@format_option()
 def cycle_poly(lam_text: str, z_text: str | None, fmt: str) -> None:
     """Cycle polynomial of a partition, constant coefficient first."""
-    lam = _parse_lambda(lam_text)
-    poly = cycle_polynomial(lam)
+    try:
+        lam = parse_partition(lam_text)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+    _check_size("cycle-poly", sum(lam))
     z = _fraction(z_text) if z_text is not None else None
-    value = poly(z) if z is not None else None
-
-    if fmt == "json":
-        payload = {
-            "partition": format_partition(lam),
-            "n": sum(lam),
-            "degree": poly.degree,
-            "coefficients": poly.to_strings(),
-        }
-        if z is not None:
-            payload["z"] = str(z)
-            payload["value"] = _rat_json(value)
-        click.echo(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        rows: list[list[Any]] = [[k, c] for k, c in enumerate(poly.to_strings())]
-        _echo_csv(["power", "coefficient"], rows)
-        if z is not None:
-            click.echo(f"value,{value}")
-    else:
-        click.echo(f"N({format_partition(lam) or '-'}) = {poly}")
-        if z is not None:
-            click.echo(f"value at z = {z}: {value}")
+    poly = cycle_polynomial(lam)
+    payload = {
+        "partition": format_partition(lam),
+        "n": sum(lam),
+        "degree": poly.degree,
+        "coefficients": poly.to_strings(),
+    }
+    rows = [[k, c] for k, c in enumerate(payload["coefficients"])]
+    text = f"N({format_partition(lam) or '-'}) = {poly}\n"
+    if z is not None:
+        value = poly(z)
+        payload.update(z=str(z), value=json_number(value))
+        rows.append(["value", value])
+        text += f"value at z = {z}: {value}\n"
+    if fmt != "text":
+        text = render(fmt, ["power", "coefficient"], rows, payload)
+    click.echo(text, nl=False)
 
 
 def _character_table(n: int, k: int | None, kind: str, fmt: str) -> None:
-    if n < 1:
-        raise click.UsageError(f"--n must be at least 1, got {n}")
+    _check_size("hchar" if kind == "h" else "achar", n)
     top = n if kind == "h" else n - 1
     if k is not None and not 0 <= k <= top:
         raise click.UsageError(f"--k must be between 0 and {top} for n={n}, got {k}")
-    ks = [k] if k is not None else list(range(max(n, 1)))
+    ks = [k] if k is not None else list(range(n))
     fn = braid_character if kind == "h" else a_character
-    chars = {j: fn(n, j) for j in ks}
+    chars = [fn(n, j) for j in ks]
     rows = [
-        {
-            "partition": format_partition(lam),
-            "values": [chars[j](lam) for j in ks],
-        }
-        for lam in partitions(n)
+        [format_partition(lam), *(int(c(lam)) for c in chars)] for lam in partitions(n)
     ]
-    if fmt == "json":
-        payload = {
-            "n": n,
-            "kind": kind,
-            "ks": ks,
-            "order": "reverse-lex",
-            "rows": [
-                {"partition": r["partition"], "values": [int(v) for v in r["values"]]}
-                for r in rows
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2))
-        return
+    payload = {
+        "n": n,
+        "kind": kind,
+        "ks": ks,
+        "order": "reverse-lex",
+        "rows": [{"partition": row[0], "values": row[1:]} for row in rows],
+    }
     header = ["partition"] + [f"k={j}" for j in ks]
-    table = [[r["partition"], *r["values"]] for r in rows]
-    if fmt == "csv":
-        _echo_csv(header, table)
-    else:
-        _echo_aligned(header, table)
+    click.echo(render(fmt, header, rows, payload), nl=False)
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Symmetric group degree.")
+@degree_option
 @click.option("--k", type=int, default=None, help="Single grade; all if omitted.")
-@format_option
+@format_option()
 def hchar(n: int, k: int | None, fmt: str) -> None:
     """Cohomology character table; rows are partitions, columns grades."""
     _character_table(n, k, "h", fmt)
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="Symmetric group degree.")
+@degree_option
 @click.option("--k", type=int, default=None, help="Single grade; all if omitted.")
-@format_option
+@format_option()
 def achar(n: int, k: int | None, fmt: str) -> None:
     """Graded piece character table; rows are partitions, columns grades."""
     _character_table(n, k, "chi", fmt)
@@ -245,7 +172,7 @@ _WHICH = ("h", "a", "b", "b-plus", "b-minus", "b-diff")
 
 
 @main.command("decompose")
-@click.option("--n", type=int, required=True, help="Symmetric group degree.")
+@degree_option
 @click.option("--k", type=int, default=None, help="Grade (for --which h|a).")
 @click.option("--m", type=int, default=None, help="Weight (for --which b*).")
 @click.option(
@@ -255,66 +182,52 @@ _WHICH = ("h", "a", "b", "b-plus", "b-minus", "b-diff")
     show_default=True,
     help="Which character to decompose.",
 )
-@format_option
+@format_option()
 def decompose_cmd(n: int, k: int | None, m: int | None, which: str, fmt: str) -> None:
     """Irreducible multiplicities of a character."""
-    if n < 1:
-        raise click.UsageError(f"--n must be at least 1, got {n}")
-    virtual = False
+    _check_size("decompose", n)
     if which in ("h", "a"):
         if k is None:
             raise click.UsageError(f"--which {which} requires --k")
+        if m is not None:
+            raise click.UsageError(f"--m applies to --which b*, not --which {which}")
         top = n if which == "h" else n - 1
         if not 0 <= k <= top:
             raise click.UsageError(f"--k must be between 0 and {top} for n={n}, got {k}")
         f = braid_character(n, k) if which == "h" else a_character(n, k)
     else:
+        if k is not None:
+            raise click.UsageError(f"--k applies to --which h|a, not --which {which}")
         if m is None or m < 1:
             raise click.UsageError(f"--which {which} requires --m >= 1")
         if n < 2:
             raise click.UsageError("--which b* requires --n >= 2")
-        k = None
         if which == "b":
             f = b_character(n, m)
         else:
             plus, minus = b_character_signed(n, m)
-            if which == "b-plus":
-                f = plus
-            elif which == "b-minus":
-                f = minus
-            else:
-                f = plus - minus
-                virtual = True
-    dec = decompose(f, virtual=virtual)
-
-    if fmt == "json":
-        payload = {
-            "n": n,
-            "k": k,
-            "m": m if which.startswith("b") else None,
-            "which": which,
-            "terms": [
-                {"partition": format_partition(mu), "multiplicity": mult}
-                for mu, mult in dec.terms
-            ],
-            "dimension": int(dec.dimension),
-        }
-        click.echo(json.dumps(payload, indent=2))
-    elif fmt == "csv":
-        _echo_csv(
-            ["partition", "multiplicity"],
-            [[format_partition(mu), mult] for mu, mult in dec.terms],
-        )
-    else:
-        label = {"h": f"h_{n}^{k}", "a": f"chi_{n}^{k}"}.get(which, f"{which}(n={n}, m={m})")
-        click.echo(f"{label} = {dec}")
-        click.echo(f"dimension {dec.dimension}")
+            f = {"b-plus": plus, "b-minus": minus, "b-diff": plus - minus}[which]
+    dec = decompose(f, virtual=which == "b-diff")
+    payload = {
+        "n": n,
+        "k": k,
+        "m": m,
+        "which": which,
+        "terms": terms_json(dec),
+        "dimension": int(dec.dimension),
+    }
+    rows = [[format_partition(mu), mult] for mu, mult in dec.terms]
+    label = {"h": f"h_{n}^{k}", "a": f"chi_{n}^{k}"}.get(which, f"{which}(n={n}, m={m})")
+    text = f"{label} = {dec}\ndimension {dec.dimension}\n"
+    if fmt != "text":
+        text = render(fmt, ["partition", "multiplicity"], rows, payload)
+    click.echo(text, nl=False)
 
 
 @main.command()
 @click.option("--p", type=int, required=True, help="Field characteristic (prime).")
 @click.option("--n", type=int, required=True, help="Polynomial degree.")
-@click.option("--workers", type=int, default=None, help="Parallel worker count.")
+@workers_option
 @click.option(
     "--budget",
     type=int,
@@ -322,51 +235,33 @@ def decompose_cmd(n: int, k: int | None, m: int | None, which: str, fmt: str) ->
     show_default=True,
     help="Largest candidate count the census may enumerate.",
 )
-@format_option
+@format_option()
 def oracle(p: int, n: int, workers: int | None, budget: int, fmt: str) -> None:
     """Exhaustive square-free census over F_p versus cycle polynomial counts."""
     try:
         report = census_vs_theory(p, n, budget=budget, workers=workers)
     except (BudgetError, ValueError) as exc:
         raise click.UsageError(str(exc))
-
-    if fmt == "json":
-        payload = {
-            "p": p,
-            "n": n,
-            "total": report.total_squarefree,
-            "expected_total": report.expected_total,
-            "ok": report.all_ok,
-            "rows": [
-                {
-                    "partition": format_partition(r.partition),
-                    "count": r.count,
-                    "theory": r.predicted,
-                    "ok": r.ok,
-                }
-                for r in report.rows
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        header = ["partition", "count", "theory", "ok"]
-        table = [
-            [format_partition(r.partition), r.count, r.predicted, r.ok]
-            for r in report.rows
-        ]
-        if fmt == "csv":
-            _echo_csv(header, table)
-            click.echo(
-                f"total,{report.total_squarefree},{report.expected_total},"
-                f"{report.all_ok}"
-            )
-        else:
-            _echo_aligned(header, table)
-            click.echo(
-                f"square-free total {report.total_squarefree} "
-                f"(expected {report.expected_total})"
-            )
-            click.echo("census matches" if report.all_ok else "census MISMATCH")
+    header = ["partition", "count", "theory", "ok"]
+    rows = [
+        [format_partition(r.partition), r.count, r.predicted, r.ok] for r in report.rows
+    ]
+    total, expected = report.total_squarefree, report.expected_total
+    payload = {
+        "p": p,
+        "n": n,
+        "total": total,
+        "expected_total": expected,
+        "ok": report.all_ok,
+        "rows": [dict(zip(header, row)) for row in rows],
+    }
+    if fmt == "csv":
+        rows.append(["total", total, expected, report.all_ok])
+    text = render(fmt, header, rows, payload)
+    if fmt == "text":
+        text += f"square-free total {total} (expected {expected})\n"
+        text += "census matches\n" if report.all_ok else "census MISMATCH\n"
+    click.echo(text, nl=False)
     if not report.all_ok:
         sys.exit(1)
 
@@ -375,51 +270,40 @@ def oracle(p: int, n: int, workers: int | None, budget: int, fmt: str) -> None:
 @click.argument("name", type=click.Choice(TABLE_NAMES))
 @click.option("--n", type=int, default=None, help="Row set (measures) or last row.")
 @click.option("--max-n", type=int, default=None, help="Last row for triangle tables.")
-@format_option
+@format_option()
 def table(name: str, n: int | None, max_n: int | None, fmt: str) -> None:
     """Emit one of the built-in reference tables."""
-    if name == "measures":
-        pick = n if n is not None else 4
-    else:
-        pick = max_n if max_n is not None else n
+    if name == "measures" and max_n is not None:
+        raise click.UsageError("table measures takes --n, not --max-n")
+    if n is not None and max_n is not None:
+        raise click.UsageError("give --n or --max-n, not both")
     try:
-        click.echo(emit_table(name, pick, fmt), nl=False)
+        click.echo(emit_table(name, n if max_n is None else max_n, fmt), nl=False)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
 
 @main.command()
 @click.argument("suite", type=click.Choice(SUITE_NAMES), default="all")
-@click.option("--max-n", type=int, default=None, help="Cap every sweep at this n.")
-@click.option("--workers", type=int, default=None, help="Census worker count.")
 @click.option(
-    "--format",
-    "fmt",
-    type=click.Choice(("text", "json")),
-    default="text",
-    show_default=True,
-    help="Output format.",
+    "--max-n", type=click.IntRange(min=1), default=None, help="Cap every sweep at this n."
 )
+@workers_option
+@format_option(("text", "json"))
 def verify(suite: str, max_n: int | None, workers: int | None, fmt: str) -> None:
     """Run a verification suite; exits 1 when any check fails."""
-    if max_n is not None and max_n < 1:
-        raise click.UsageError(f"--max-n must be at least 1, got {max_n}")
-    limits = VerifyLimits(workers=workers).capped(max_n)
-    report = run_suite(suite, limits)
-    if fmt == "json":
-        payload = {
-            "suite": report.suite,
-            "passed": report.passed,
-            "elapsed": report.elapsed,
-            "checks": [
-                {"description": c.description, "passed": c.passed, "details": c.details}
-                for c in report.checks
-            ],
-        }
-        click.echo(json.dumps(payload, indent=2))
-    else:
-        for line in report.lines():
-            click.echo(line)
+    report = run_suite(suite, VerifyLimits(workers=workers).capped(max_n))
+    payload = {
+        "suite": report.suite,
+        "passed": report.passed,
+        "elapsed": report.elapsed,
+        "checks": [
+            {"description": c.description, "passed": c.passed, "details": c.details}
+            for c in report.checks
+        ],
+    }
+    lines = "".join(line + "\n" for line in report.lines())
+    click.echo(lines if fmt == "text" else render(fmt, [], [], payload), nl=False)
     if not report.passed:
         sys.exit(1)
 

@@ -1,10 +1,11 @@
-"""Emitters for the five reference tables in text, CSV, and JSON formats.
+"""One renderer for every command's output, and the five reference tables.
 
-Every emitter computes its rows from scratch (nothing is read from
-``reference``); the frozen data there exists so tests can diff these
-emitters against known-good values.  Partition-indexed tables list rows
-in reverse-lexicographic order on the decreasing part lists and say so
-in their headers.
+Each command builds its header, rows and JSON payload once; ``render`` emits
+them as aligned text, CSV or JSON.  The reference tables compute their rows
+from scratch (nothing is read from ``reference``); the frozen data there
+exists so tests can diff these tables against known-good values.
+Partition-indexed tables list rows in reverse-lexicographic order on the
+decreasing part lists and say so in their headers.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import io
 import json
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 from .characters import a_character, braid_character
 from .measures import splitting_coefficients
@@ -31,32 +32,51 @@ TABLE_LIMITS = {
     "a2-decomp": 9,
 }
 
+#: Largest n each command accepts (for ``cycle-poly``, the size of the
+#: partition): the last size whose worst case took at most 5 s of wall time,
+#: median of five fresh-process runs on a 2-core machine.
+COMMAND_LIMITS = {
+    "measure": 25,
+    "hchar": 25,
+    "achar": 25,
+    "decompose": 18,
+    "cycle-poly": 800,
+}
+
 FORMATS = ("text", "csv", "json")
 
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
-
-
-def _json_number(x: Fraction) -> Any:
+def json_number(x: Fraction) -> Any:
     """Integers as JSON ints, other rationals as "p/q" strings."""
     if x.denominator == 1:
         return int(x)
     return str(x)
 
 
-def _render_csv(header: list[str], rows: list[list[Any]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def terms_json(dec: IrrepDecomposition) -> list[dict]:
+    """One ``{"partition", "multiplicity"}`` object per irreducible term."""
+    return [
+        {"partition": format_partition(mu), "multiplicity": m}
+        for mu, m in dec.terms
+    ]
 
 
-def _render_text(title: str, header: list[str], rows: list[list[Any]]) -> str:
+def render(
+    fmt: str, header: list[str], rows: list[list], payload: Any, title: str | None = None
+) -> str:
+    """``rows`` under ``header`` as aligned text or CSV, or ``payload`` as JSON.
+
+    Text starts with ``# title`` when a title is given.
+    """
+    if fmt == "json":
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+        return buf.getvalue()
     cells = [header] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    lines = [f"# {title}"]
+    lines = [] if title is None else [f"# {title}"]
     for r, row in enumerate(cells):
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         if r == 0:
@@ -64,119 +84,66 @@ def _render_text(title: str, header: list[str], rows: list[list[Any]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _measures_table(n: int) -> tuple[str, list[str], list[list[Any]], dict]:
-    title = (
-        f"splitting measure coefficients for n={n} "
-        "(rows in reverse-lex partition order)"
-    )
-    width = n if n >= 2 else 1
+def measures_table(
+    n: int, z: Fraction | None = None, per_element: bool = False
+) -> tuple[list[str], list[list[Any]], list[dict]]:
+    """Header, rows and JSON rows of the splitting measures for n.
+
+    With ``z`` each row also carries the measure evaluated there, per class
+    or, with ``per_element``, per permutation.  Raises ValueError at a pole.
+    """
     header = ["partition", "class_size", "centralizer_order"] + [
-        f"alpha_{k}" for k in range(width)
+        f"alpha_{k}" for k in range(n)
     ]
+    if z is not None:
+        header.append("value")
     rows: list[list[Any]] = []
     json_rows: list[dict] = []
     for lam in partitions(n):
         cls = class_data(lam)
-        alpha = splitting_coefficients(lam).alpha
-        rows.append(
-            [format_partition(lam), cls.class_size, cls.centralizer_order]
-            + [_rat_str(a) for a in alpha]
-        )
-        json_rows.append(
-            {
-                "partition": format_partition(lam),
-                "class_size": cls.class_size,
-                "centralizer_order": cls.centralizer_order,
-                "alpha": [_rat_str(a) for a in alpha],
-            }
-        )
-    payload = {
-        "table": "measures",
-        "n": n,
-        "order": "reverse-lex",
-        "rows": json_rows,
-    }
-    return title, header, rows, payload
+        m = splitting_coefficients(lam)
+        alpha = [str(a) for a in m.alpha]
+        line = [format_partition(lam), cls.class_size, cls.centralizer_order, *alpha]
+        row: dict[str, Any] = dict(zip(header, line[:3]), alpha=alpha)
+        if z is not None:
+            value = m.value(z, per_element=per_element)
+            row["value"] = json_number(value)
+            line.append(str(value))
+        rows.append(line)
+        json_rows.append(row)
+    return header, rows, json_rows
 
 
-def _triangle_table(
-    name: str, value: Callable[[int, int], int], max_n: int
-) -> tuple[str, list[str], list[list[Any]], dict]:
-    what = "cohomology dimensions" if name == "betti" else "graded piece dimensions"
-    title = f"{what} for n=1..{max_n}, columns k=0..n-1"
-    header = ["n"] + [f"k={k}" for k in range(max_n)]
-    rows: list[list[Any]] = []
-    json_rows: list[dict] = []
-    for n in range(1, max_n + 1):
-        values = [value(n, k) for k in range(n)]
-        rows.append([n] + values + [""] * (max_n - n))
-        json_rows.append({"n": n, "values": values})
-    payload = {"table": name, "max_n": max_n, "rows": json_rows}
-    return title, header, rows, payload
+#: Text title of each table; ``{n}`` is its row set or last row.
+_TITLES = {
+    "measures": "splitting measure coefficients for n={n} "
+    "(rows in reverse-lex partition order)",
+    "betti": "cohomology dimensions for n=1..{n}, columns k=0..n-1",
+    "a-dims": "graded piece dimensions for n=1..{n}, columns k=0..n-1",
+    "h1-decomp": "irreducible decompositions of the k=1 characters for n=2..{n} "
+    "(labels in reverse-lex order)",
+    "a2-decomp": "irreducible decompositions of the k=2 graded pieces for n=3..{n} "
+    "(labels in reverse-lex order)",
+}
 
 
-def _decomp_cell(dec: IrrepDecomposition) -> str:
-    return str(dec)
+def _decomposition_json(dec: IrrepDecomposition) -> dict:
+    return {"dimension": dec.dimension, "terms": terms_json(dec)}
 
 
-def _decomp_terms_json(dec: IrrepDecomposition) -> list[dict]:
-    return [
-        {"partition": format_partition(mu), "multiplicity": m}
-        for mu, m in dec.terms
-    ]
-
-
-def _h1_decomp_table(max_n: int) -> tuple[str, list[str], list[list[Any]], dict]:
-    title = (
-        f"irreducible decompositions of the k=1 characters for n=2..{max_n} "
-        "(labels in reverse-lex order)"
-    )
-    header = ["n", "dim_h1", "h1", "dim_a1", "a1"]
-    rows: list[list[Any]] = []
-    json_rows: list[dict] = []
-    for n in range(2, max_n + 1):
+def _table_row(name: str, n: int, max_n: int) -> tuple[list[Any], dict]:
+    """Row n of a triangle or decomposition table, for text/CSV and for JSON."""
+    if name in ("betti", "a-dims"):
+        character = braid_character if name == "betti" else a_character
+        values = [character(n, k)((1,) * n) for k in range(n)]
+        return [n] + values + [""] * (max_n - n), {"n": n, "values": values}
+    if name == "h1-decomp":
         dh = decompose(braid_character(n, 1))
         da = decompose(a_character(n, 1))
-        rows.append(
-            [n, dh.dimension, _decomp_cell(dh), da.dimension, _decomp_cell(da)]
-        )
-        json_rows.append(
-            {
-                "n": n,
-                "h1": {
-                    "dimension": dh.dimension,
-                    "terms": _decomp_terms_json(dh),
-                },
-                "a1": {
-                    "dimension": da.dimension,
-                    "terms": _decomp_terms_json(da),
-                },
-            }
-        )
-    payload = {"table": "h1-decomp", "max_n": max_n, "rows": json_rows}
-    return title, header, rows, payload
-
-
-def _a2_decomp_table(max_n: int) -> tuple[str, list[str], list[list[Any]], dict]:
-    title = (
-        f"irreducible decompositions of the k=2 graded pieces for n=3..{max_n} "
-        "(labels in reverse-lex order)"
-    )
-    header = ["n", "dim_a2", "a2"]
-    rows: list[list[Any]] = []
-    json_rows: list[dict] = []
-    for n in range(3, max_n + 1):
-        da = decompose(a_character(n, 2))
-        rows.append([n, da.dimension, _decomp_cell(da)])
-        json_rows.append(
-            {
-                "n": n,
-                "dimension": da.dimension,
-                "terms": _decomp_terms_json(da),
-            }
-        )
-    payload = {"table": "a2-decomp", "max_n": max_n, "rows": json_rows}
-    return title, header, rows, payload
+        row = [n, dh.dimension, str(dh), da.dimension, str(da)]
+        return row, {"n": n, "h1": _decomposition_json(dh), "a1": _decomposition_json(da)}
+    da = decompose(a_character(n, 2))
+    return [n, da.dimension, str(da)], {"n": n, **_decomposition_json(da)}
 
 
 def emit_table(name: str, n: int | None = None, fmt: str = "text") -> str:
@@ -199,31 +166,21 @@ def emit_table(name: str, n: int | None = None, fmt: str = "text") -> str:
     limit = TABLE_LIMITS[name]
     if n is None:
         n = 4 if name == "measures" else min(limit, 9)
-    lo = 1 if name != "measures" else 1
-    if not lo <= n <= limit:
-        raise ValueError(f"table {name!r} supports n between {lo} and {limit}, got {n}")
+    first = {"h1-decomp": 2, "a2-decomp": 3}.get(name, 1)
+    if not first <= n <= limit:
+        raise ValueError(
+            f"table {name!r} supports n between {first} and {limit}, got {n}"
+        )
 
     if name == "measures":
-        title, header, rows, payload = _measures_table(n)
-    elif name == "betti":
-        title, header, rows, payload = _triangle_table(
-            "betti", lambda m, k: braid_character(m, k)((1,) * m), n
-        )
-    elif name == "a-dims":
-        title, header, rows, payload = _triangle_table(
-            "a-dims", lambda m, k: a_character(m, k)((1,) * m), n
-        )
-    elif name == "h1-decomp":
-        if n < 2:
-            raise ValueError("h1-decomp needs n >= 2")
-        title, header, rows, payload = _h1_decomp_table(n)
+        header, rows, json_rows = measures_table(n)
+        payload = {"table": name, "n": n, "order": "reverse-lex", "rows": json_rows}
     else:
-        if n < 3:
-            raise ValueError("a2-decomp needs n >= 3")
-        title, header, rows, payload = _a2_decomp_table(n)
-
-    if fmt == "text":
-        return _render_text(title, header, rows)
-    if fmt == "csv":
-        return _render_csv(header, rows)
-    return json.dumps(payload, indent=2) + "\n"
+        header = {
+            "h1-decomp": ["n", "dim_h1", "h1", "dim_a1", "a1"],
+            "a2-decomp": ["n", "dim_a2", "a2"],
+        }.get(name, ["n"] + [f"k={k}" for k in range(n)])
+        pairs = [_table_row(name, m, n) for m in range(first, n + 1)]
+        rows = [row for row, _ in pairs]
+        payload = {"table": name, "max_n": n, "rows": [entry for _, entry in pairs]}
+    return render(fmt, header, rows, payload, _TITLES[name].format(n=n))

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from click.testing import CliRunner
 from braidchar import reference
 from braidchar.cli import main
 from braidchar.partitions import parse_partition
-from braidchar.tables import FORMATS, TABLE_NAMES, emit_table
+from braidchar.tables import COMMAND_LIMITS, FORMATS, TABLE_NAMES, emit_table
 
 
 def run_cli(*args):
@@ -252,8 +253,28 @@ def test_cli_verify_json():
         ("table", "measures", "--n", "13"),
         ("table", "a2-decomp", "--max-n", "2"),
         ("verify", "tables", "--max-n", "0"),
+        ("measure", "--n", "4", "--per-element"),
+        ("table", "measures", "--max-n", "6"),
+        ("table", "betti", "--n", "3", "--max-n", "5"),
+        ("decompose", "--n", "4", "--which", "b", "--m", "1", "--k", "3"),
+        ("decompose", "--n", "4", "--which", "h", "--k", "1", "--m", "5"),
+        ("measure", "--n", str(COMMAND_LIMITS["measure"] + 1)),
+        ("hchar", "--n", str(COMMAND_LIMITS["hchar"] + 1)),
+        ("achar", "--n", str(COMMAND_LIMITS["achar"] + 1), "--k", "1"),
+        ("decompose", "--n", str(COMMAND_LIMITS["decompose"] + 1), "--k", "1"),
+        ("cycle-poly", "--lambda", str(COMMAND_LIMITS["cycle-poly"] + 1)),
+        ("oracle", "--p", "2", "--n", "3", "--workers", "0"),
+        ("oracle", "--p", "2", "--n", "3", "--workers", "-3"),
+        ("oracle", "--p", "2", "--n", "3", "--workers", str((os.cpu_count() or 1) + 1)),
     ],
 )
 def test_cli_usage_errors_exit_two(args):
     res = run_cli(*args)
     assert res.exit_code == 2, res.output
+
+
+def test_cli_size_refusal_names_the_limit():
+    limit = COMMAND_LIMITS["measure"]
+    res = run_cli("measure", "--n", str(limit + 1))
+    assert res.exit_code == 2
+    assert f"n <= {limit}" in res.output
