@@ -40,6 +40,7 @@ from .characters import (
 )
 from .specht import (
     IrrepDecomposition,
+    character_table,
     decompose,
     irreducible_character,
     irreducible_character_value,
@@ -74,6 +75,7 @@ __all__ = [
     "b_character_signed",
     "braid_character",
     "census_vs_theory",
+    "character_table",
     "class_data",
     "closed_form_check",
     "cycle_polynomial",

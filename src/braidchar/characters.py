@@ -22,6 +22,7 @@ on the coefficient extraction.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
@@ -66,31 +67,25 @@ class ClassFunction:
         """Value at the identity class (1^n)."""
         return self.values[(1,) * self.n]
 
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
+    def _pointwise(self, other, op) -> "ClassFunction":
+        """op(self(lam), other(lam)) on every class, for other of the same degree."""
         if not isinstance(other, ClassFunction):
             return NotImplemented
         if self.n != other.n:
             raise ValueError(f"degree mismatch: {self.n} != {other.n}")
         return ClassFunction(
-            self.n, {lam: v + other.values[lam] for lam, v in self.values.items()}
+            self.n, {lam: op(v, other.values[lam]) for lam, v in self.values.items()}
         )
 
+    def __add__(self, other: "ClassFunction") -> "ClassFunction":
+        return self._pointwise(other, operator.add)
+
     def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        if not isinstance(other, ClassFunction):
-            return NotImplemented
-        if self.n != other.n:
-            raise ValueError(f"degree mismatch: {self.n} != {other.n}")
-        return ClassFunction(
-            self.n, {lam: v - other.values[lam] for lam, v in self.values.items()}
-        )
+        return self._pointwise(other, operator.sub)
 
     def __mul__(self, other) -> "ClassFunction":
         if isinstance(other, ClassFunction):
-            if self.n != other.n:
-                raise ValueError(f"degree mismatch: {self.n} != {other.n}")
-            return ClassFunction(
-                self.n, {lam: v * other.values[lam] for lam, v in self.values.items()}
-            )
+            return self._pointwise(other, operator.mul)
         return ClassFunction(self.n, {lam: v * other for lam, v in self.values.items()})
 
     __rmul__ = __mul__
@@ -162,10 +157,11 @@ def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
     """Standard S_n inner product (1/n!) sum_lam |C_lam| f(lam) g(lam)."""
     if f.n != g.n:
         raise ValueError(f"degree mismatch: {f.n} != {g.n}")
-    total = Fraction(0)
-    for lam in partitions(f.n):
-        total += class_data(lam).class_size * f.values[lam] * g.values[lam]
-    return total / factorial(f.n)
+    total = sum(
+        class_data(lam).class_size * f.values[lam] * g.values[lam]
+        for lam in partitions(f.n)
+    )
+    return Fraction(total, factorial(f.n))
 
 
 def sign_twisted_sum(n: int) -> ClassFunction:
@@ -189,16 +185,8 @@ def b_character(n: int, m: int) -> ClassFunction:
     >>> b_character(4, 1).dimension
     12
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    values = {lam: 0 for lam in partitions(n)}
-    for k in range(n):
-        chi = a_character(n, k)
-        for lam in values:
-            values[lam] += chi.values[lam] * m**k
-    return ClassFunction(n, values)
+    plus, minus = b_character_signed(n, m)
+    return plus + minus
 
 
 def b_character_signed(n: int, m: int) -> tuple[ClassFunction, ClassFunction]:

@@ -96,6 +96,7 @@ def centralizer_order(lam: Partition) -> int:
     return z
 
 
+@cache
 def class_data(lam: Partition) -> ClassData:
     """Centralizer order and class size of the cycle type lam.
 

@@ -234,5 +234,11 @@ def cycle_polynomial(lam: Partition) -> RatPoly:
     """
     out = ONE
     for j, m in sorted(multiplicities(lam).items()):
-        out = out * poly_binomial(necklace_polynomial(j), m)
+        out = out * _cycle_factor(j, m)
     return out
+
+
+@cache
+def _cycle_factor(j: int, m: int) -> RatPoly:
+    """binom(M_j(z), m), shared by every partition with m parts equal to j."""
+    return poly_binomial(necklace_polynomial(j), m)

@@ -1,14 +1,16 @@
 """Irreducible characters of S_n and decomposition of class functions.
 
-Irreducible characters chi^mu are evaluated by the Murnaghan-Nakayama rule,
-implemented on first-column hook lengths (beta sets): removing a border
-strip of length t from mu is moving some beta number b down to b - t, the
-sign being (-1)^(number of beta numbers jumped over).  Cycles are peeled
-largest first and the recursion is memoized on (shape, remaining cycles).
+The whole character table of S_n is built once per n, as integer rows, by
+the Murnaghan-Nakayama rule: chi^mu(lam) is the signed sum, over the border
+strips of length t = lam[0] in mu, of chi^(mu - strip)(lam[1:]), read from
+the table of S_(n-t).  Border strips are found on first-column hook lengths
+(beta sets): removing a strip of length t from mu is moving some beta
+number b down to b - t, the sign being (-1)^(number of beta numbers jumped
+over).
 
 Dimensions come independently from the hook length formula, and any
-integer-valued class function is decomposed into irreducibles by inner
-products against the chi^mu.
+rational class function is decomposed into irreducibles by integer dot
+products of its class-size-weighted values with the table rows.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, lcm
+from operator import add, mul, sub
 
-from .characters import ClassFunction, inner_product
+from .characters import ClassFunction
 from .partitions import (
     Partition,
     check_partition,
@@ -61,28 +64,63 @@ def _shape_from_beta(beta: list[int]) -> Partition:
     )
 
 
-@cache
-def _mn(mu: Partition, cycles: Partition) -> int:
-    if not cycles:
-        return 1
-    t, rest = cycles[0], cycles[1:]
+def _border_strips(mu: Partition) -> dict[int, list[tuple[int, Partition]]]:
+    """Border strips of mu by length t: (sign, mu with the strip removed)."""
     beta = _beta_set(mu)
     held = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - t
-        if nb < 0 or nb in held:
-            continue
-        jumped = sum(1 for c in beta if nb < c < b)
-        nbeta = sorted((c for c in beta if c != b), reverse=True)
-        # insert the lowered beta number back in decreasing position
-        pos = 0
-        while pos < len(nbeta) and nbeta[pos] > nb:
-            pos += 1
-        nbeta.insert(pos, nb)
-        term = _mn(_shape_from_beta(nbeta), rest)
-        total += -term if jumped % 2 else term
-    return total
+    strips: dict[int, list[tuple[int, Partition]]] = {}
+    for i, b in enumerate(beta):
+        jumped = 0
+        for nb in range(b - 1, -1, -1):
+            if nb in held:
+                jumped += 1
+                continue
+            nbeta = sorted(beta[:i] + beta[i + 1 :] + (nb,), reverse=True)
+            strips.setdefault(b - nb, []).append(
+                (-1 if jumped % 2 else 1, _shape_from_beta(nbeta))
+            )
+    return strips
+
+
+@cache
+def _position(n: int) -> dict[Partition, int]:
+    return {lam: i for i, lam in enumerate(partitions(n))}
+
+
+@cache
+def character_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """The irreducible characters of S_n as integer rows.
+
+    Entry [i][j] is chi^mu(lam) for the i-th mu and the j-th lam of
+    partitions(n).  Building it builds (and keeps) the tables of every
+    smaller degree, about p(n)^2 integers for n.
+
+    >>> character_table(3)
+    ((1, 1, 1), (-1, 0, 2), (1, -1, 1))
+    """
+    if n == 0:
+        return ((1,),)
+    parts = partitions(n)
+    # The columns lam with lam[0] = t form one block, for t = n down to 1.
+    # Across a block lam[1:] runs, in order, over the partitions of n - t
+    # with first part at most t: the tail of partitions(n - t) from `start`.
+    blocks = []
+    for t in range(n, 0, -1):
+        width = sum(1 for lam in parts if lam[0] == t)
+        smaller = character_table(n - t)
+        blocks.append((t, len(smaller) - width, _position(n - t), smaller))
+    rows = []
+    for mu in parts:
+        strips = _border_strips(mu)
+        row: list[int] = []
+        for t, start, position, smaller in blocks:
+            block = [0] * (len(smaller) - start)
+            for sign, nu in strips.get(t, ()):
+                peeled = smaller[position[nu]][start:]
+                block = list(map(add if sign > 0 else sub, block, peeled))
+            row += block
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def irreducible_character_value(mu: Partition, lam: Partition) -> int:
@@ -93,9 +131,11 @@ def irreducible_character_value(mu: Partition, lam: Partition) -> int:
     """
     mu = check_partition(mu)
     lam = check_partition(lam)
-    if sum(mu) != sum(lam):
+    n = sum(mu)
+    if n != sum(lam):
         raise ValueError(f"{mu} and {lam} are partitions of different integers")
-    return _mn(mu, tuple(sorted(lam, reverse=True)))
+    position = _position(n)
+    return character_table(n)[position[mu]][position[lam]]
 
 
 @cache
@@ -103,9 +143,8 @@ def irreducible_character(mu: Partition) -> ClassFunction:
     """chi^mu as a class function on S_n, n = |mu|."""
     mu = check_partition(mu)
     n = sum(mu)
-    return ClassFunction(
-        n, {lam: irreducible_character_value(mu, lam) for lam in partitions(n)}
-    )
+    row = character_table(n)[_position(n)[mu]]
+    return ClassFunction(n, dict(zip(partitions(n), row)))
 
 
 @dataclass(frozen=True)
@@ -139,10 +178,13 @@ class IrrepDecomposition:
         return dict(self.terms)
 
     def as_class_function(self) -> ClassFunction:
-        out = ClassFunction.from_rule(self.n, lambda lam: 0)
-        for mu, m in self.terms:
-            out = out + m * irreducible_character(mu)
-        return out
+        parts = partitions(self.n)
+        mult = dict(self.terms)
+        values = [0] * len(parts)
+        for mu, row in zip(parts, character_table(self.n)):
+            if mu in mult:
+                values = [v + mult[mu] * x for v, x in zip(values, row)]
+        return ClassFunction(self.n, dict(zip(parts, values)))
 
     def tail_multiset(self) -> dict[Partition, int]:
         """Multiplicities keyed by the label with its first part dropped.
@@ -167,7 +209,7 @@ class IrrepDecomposition:
 
 
 def decompose(f: ClassFunction, virtual: bool = False) -> IrrepDecomposition:
-    """Write an integer-valued class function as a sum of irreducibles.
+    """Write a rational class function as a sum of irreducibles.
 
     Multiplicities must come out integral, and nonnegative unless
     virtual=True allows formal differences of representations.
@@ -176,14 +218,23 @@ def decompose(f: ClassFunction, virtual: bool = False) -> IrrepDecomposition:
     >>> str(decompose(braid_character(4, 1)))
     '[4] + [3,1] + [2,2]'
     """
+    parts = partitions(f.n)
+    values = [f.values[lam] for lam in parts]
+    # clear denominators once, so each multiplicity is an integer dot product
+    scale = lcm(*(v.denominator for v in values))
+    weighted = [
+        int(class_data(lam).class_size * v * scale) for lam, v in zip(parts, values)
+    ]
+    order = factorial(f.n) * scale
     terms = []
-    for mu in partitions(f.n):
-        m = inner_product(f, irreducible_character(mu))
-        if m.denominator != 1:
+    for mu, row in zip(parts, character_table(f.n)):
+        total = sum(map(mul, row, weighted))
+        if total % order:
             raise ArithmeticError(
-                f"multiplicity of {mu} is not an integer: {m}; not a virtual character"
+                f"multiplicity of {mu} is not an integer: {Fraction(total, order)}; "
+                "not a virtual character"
             )
-        m = int(m)
+        m = total // order
         if m < 0 and not virtual:
             raise ArithmeticError(
                 f"multiplicity of {mu} is negative: {m}; pass virtual=True to allow"

@@ -39,7 +39,7 @@ COMMAND_LIMITS = {
     "measure": 25,
     "hchar": 25,
     "achar": 25,
-    "decompose": 18,
+    "decompose": 24,
     "cycle-poly": 800,
 }
 

@@ -1,6 +1,8 @@
 """Irreducible characters, dimensions, and decomposition of class functions."""
 
+import re
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import pytest
@@ -19,6 +21,7 @@ from braidchar.partitions import (
 )
 from braidchar.specht import (
     IrrepDecomposition,
+    character_table,
     decompose,
     irreducible_character,
     irreducible_character_value,
@@ -53,6 +56,59 @@ def test_hook_formula_matches_character_at_identity():
     for n in range(1, 9):
         for mu in partitions(n):
             assert irreducible_character(mu)((1,) * n) == irrep_dimension(mu)
+
+
+# Frozen reference: the per-value Murnaghan-Nakayama recursion on beta sets
+# that character_table replaced, kept verbatim so the table is checked
+# against an independent evaluation of every entry.
+def _ref_beta_set(mu):
+    length = len(mu)
+    return tuple(mu[i] + length - 1 - i for i in range(length))
+
+
+def _ref_shape_from_beta(beta):
+    length = len(beta)
+    return tuple(
+        p for i, b in enumerate(beta) if (p := b - (length - 1 - i)) > 0
+    )
+
+
+@cache
+def _ref_mn(mu, cycles):
+    if not cycles:
+        return 1
+    t, rest = cycles[0], cycles[1:]
+    beta = _ref_beta_set(mu)
+    held = set(beta)
+    total = 0
+    for b in beta:
+        nb = b - t
+        if nb < 0 or nb in held:
+            continue
+        jumped = sum(1 for c in beta if nb < c < b)
+        nbeta = sorted((c for c in beta if c != b), reverse=True)
+        pos = 0
+        while pos < len(nbeta) and nbeta[pos] > nb:
+            pos += 1
+        nbeta.insert(pos, nb)
+        term = _ref_mn(_ref_shape_from_beta(nbeta), rest)
+        total += -term if jumped % 2 else term
+    return total
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_character_table_matches_reference_recursion(n):
+    table = character_table(n)
+    parts = partitions(n)
+    assert len(table) == len(parts)
+    for mu, row in zip(parts, table):
+        assert row == tuple(_ref_mn(mu, lam) for lam in parts)
+
+
+def test_character_table_identity_column_is_hook_dimension():
+    for n in range(0, 13):
+        identity_column = [row[-1] for row in character_table(n)]
+        assert identity_column == [irrep_dimension(mu) for mu in partitions(n)]
 
 
 S3_TABLE = {
@@ -188,7 +244,9 @@ def test_tail_multiset():
 
 def test_virtual_decomposition():
     f = ClassFunction.trivial(4) - ClassFunction.sign(4)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=re.escape(
+        "multiplicity of (1, 1, 1, 1) is negative: -1; pass virtual=True to allow"
+    )):
         decompose(f)
     dec = decompose(f, virtual=True)
     assert dec.as_dict() == {(4,): 1, (1, 1, 1, 1): -1}
@@ -196,9 +254,18 @@ def test_virtual_decomposition():
     assert str(dec) == "[4] - [1,1,1,1]"
 
 
+def test_decompose_fraction_valued_class_function():
+    chi = a_character(5, 2)
+    f = Fraction(1, 2) * (2 * chi)
+    assert any(isinstance(v, Fraction) for v in f.values.values())
+    assert decompose(f).terms == decompose(chi).terms
+
+
 def test_non_integer_multiplicity_rejected():
     f = ClassFunction.from_rule(3, lambda lam: Fraction(1, 2))
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ArithmeticError, match=re.escape(
+        "multiplicity of (3,) is not an integer: 1/2; not a virtual character"
+    )):
         decompose(f, virtual=True)
 
 
