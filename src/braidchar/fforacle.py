@@ -26,6 +26,15 @@ The vectorized engine always cross-checks the gcd square-freeness verdict
 against the factorization (a repeated factor must appear exactly when the
 gcd is nonconstant) and the per-degree irreducible counts against the
 necklace polynomial values M_d(p), and raises if either check fails.
+
+Its batched gcd is Euclid on digit rows with the leading coefficient in
+column 0.  Every row moves by exactly one column per step, so a step is a
+few whole-array operations, with no per-row search for the leading term;
+a row leaves the working arrays as soon as its gcd degree is known.
+Over F_2 the rows are instead bit-packed into uint64 words, one polynomial
+per word, and each Euclid step is a shift and an XOR.  Coefficient arrays
+use the narrowest signed dtype that holds (p - 1)^2, so no product of two
+digits wraps for any p.
 """
 
 from __future__ import annotations
@@ -323,8 +332,21 @@ class _FactorTable:
         self.quot = quot
 
 
+def _coeff_dtype(p: int, terms: int = 1) -> np.dtype:
+    """Narrowest signed integer dtype that holds terms * (p - 1)^2.
+
+    Digits, products of two digits and sums of such products over F_p all
+    live in this type, so nothing wraps for any p.
+    """
+    bound = terms * (p - 1) ** 2
+    for dt in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
+
+
 def _digit_matrix(p: int, codes: np.ndarray, width: int) -> np.ndarray:
-    out = np.empty((codes.size, width), np.int8)
+    out = np.empty((codes.size, width), _coeff_dtype(p))
     c = codes.copy()
     for i in range(width):
         c, r = np.divmod(c, p)
@@ -334,7 +356,7 @@ def _digit_matrix(p: int, codes: np.ndarray, width: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _inverse_table(p: int) -> np.ndarray:
-    inv = np.zeros(p, np.int16)
+    inv = np.zeros(p, _coeff_dtype(p))
     for a in range(1, p):
         inv[a] = pow(a, -1, p)
     return inv
@@ -350,13 +372,13 @@ def _factor_table(p: int, d: int) -> _FactorTable:
     for e in range(1, d // 2 + 1):
         hdeg = d - e
         hsize = p**hdeg
-        hfull = np.empty((hsize, hdeg + 1), np.int16)
+        hfull = np.empty((hsize, hdeg + 1), _coeff_dtype(p))
         hfull[:, :hdeg] = _digit_matrix(p, np.arange(hsize, dtype=np.int64), hdeg)
         hfull[:, hdeg] = 1
         hcodes = np.arange(hsize, dtype=np.int32)
         for gc in _irreducible_codes(p, e).tolist():
             gfull = poly_from_code(gc, e, p)
-            prod = np.zeros((hsize, d + 1), np.int32)
+            prod = np.zeros((hsize, d + 1), _coeff_dtype(p, e + 1))
             for j, gj in enumerate(gfull):
                 if gj:
                     prod[:, j : j + hdeg + 1] += gj * hfull
@@ -415,44 +437,95 @@ def _batched_gcd_degree(full: np.ndarray, deriv: np.ndarray, p: int) -> np.ndarr
     full: (m, n+1) low-aligned coefficients of monic degree-n rows.
     deriv: (m, n) low-aligned derivative coefficients.
 
-    Works on top-aligned buffers (leading coefficient in column 0) so one
-    masked subtraction cancels every row's leading term at once.
+    Euclid on top-aligned rows: column j of a holds the coefficient of
+    x^(da - j), and likewise for b, so one masked subtraction cancels every
+    row's leading term at once.
+
+    * b is exact: its column 0 is nonzero and db is its degree.
+    * a is lazy: da is only an upper bound on its degree, and its column 0
+      may be zero; its columns past da are zero.
+
+    Each step swaps the rows whose a has a nonzero leading term and da < db,
+    subtracts coef * b from a (coef = 0 where a's leading term is zero, so
+    that step is only a shift), reduces mod p and shifts a left by exactly
+    one column, lowering da by one.  A swap keeps da + db, so every step
+    lowers da + db by one.  It starts at most n + (n - 1) = 2 * width - 3
+    and db stays >= 0, so da <= 0 within 2 * width - 2 steps, and
+    2 * width + 4 steps bound the loop.
+
+    A row leaves the working arrays as soon as its degree is known, which
+    is written out through its row index:
+    * at the start if f' = 0: the gcd is f;
+    * once da <= 0, if a is zero: the gcd is b;
+    * once da <= 0, if a is a nonzero constant: the gcd is 1.
     """
     m, width = full.shape
+    gdeg = np.full(m, width - 1, np.int64)
+    nz = deriv[:, ::-1] != 0
+    rows = np.flatnonzero(nz.any(axis=1))
+    db = (deriv.shape[1] - 1) - np.argmax(nz[rows], axis=1)
+    idx = db[:, None] - np.arange(width)[None, :]
+    b = np.where(idx >= 0, np.take_along_axis(deriv[rows], np.maximum(idx, 0), axis=1), 0)
+    b = b.astype(full.dtype)
+    a = np.ascontiguousarray(full[rows, ::-1])
+    da = np.full(rows.size, width - 1, np.int64)
     inv = _inverse_table(p)
-    cols = np.arange(width, dtype=np.int64)[None, :]
-
-    a = full[:, ::-1].astype(np.int16).copy()
-    da = np.full(m, width - 1, np.int64)
-
-    gw = deriv.shape[1]
-    rev_nz = deriv[:, ::-1] != 0
-    db = np.where(rev_nz.any(axis=1), (gw - 1) - np.argmax(rev_nz, axis=1), -1)
-    idx = db[:, None] - np.arange(width, dtype=np.int64)[None, :]
-    b = np.where(
-        idx >= 0,
-        np.take_along_axis(deriv, np.clip(idx, 0, gw - 1), axis=1),
-        0,
-    ).astype(np.int16)
-
     for _ in range(2 * width + 4):
-        active = db >= 0
-        if not active.any():
-            return da
-        swap = active & (da < db)
-        if swap.any():
+        done = da <= 0
+        if done.any():
+            gdeg[rows[done]] = np.where(a[done, 0] != 0, 0, db[done])
+            keep = ~done
+            rows, a, b, da, db = rows[keep], a[keep], b[keep], da[keep], db[keep]
+        if not rows.size:
+            return gdeg
+        swap = np.flatnonzero((a[:, 0] != 0) & (da < db))
+        if swap.size:
             a[swap], b[swap] = b[swap], a[swap]
             da[swap], db[swap] = db[swap], da[swap]
-        coef = np.where(active, (a[:, 0] * inv[b[:, 0]]) % p, 0).astype(np.int16)
-        a = (a - coef[:, None] * b) % p
-        nz = a != 0
-        nonzero = nz.any(axis=1)
-        shift = np.where(nonzero, np.argmax(nz, axis=1), width).astype(np.int64)
-        moved = np.take_along_axis(a, np.minimum(cols + shift[:, None], width - 1), axis=1)
-        a = np.where(cols < (width - shift)[:, None], moved, 0)
-        da = np.where(nonzero, da - shift, -1)
-        db = np.where(active & (da == 0), -1, db)
+        coef = a[:, 0] * inv[b[:, 0]] % p
+        a -= coef[:, None] * b
+        a -= a // p * p  # a %= p, but numpy vectorises division by a scalar, not %
+        a[:, :-1] = a[:, 1:]
+        a[:, -1] = 0
+        da -= 1
     raise RuntimeError("batched gcd failed to converge")
+
+
+def _packed_gcd_degree_f2(n: int, codes: np.ndarray) -> np.ndarray:
+    """Degree of gcd(f, f') per monic degree-n code over F_2, bit-packed.
+
+    Bit i of a uint64 is the coefficient of x^i, so f = code | 1 << n and
+    f' = (f >> 1) & 0x5555...: over F_2 only the odd powers of f survive
+    differentiation.  Each Euclid step swaps the rows with da < db and XORs
+    b << (da - db) into a.  Degrees are exact, taken by bit length, and
+    rows leave as in ``_batched_gcd_degree`` (da = -1 means a = 0).
+    """
+    a = codes.astype(np.uint64) | np.uint64(1 << n)
+    b = (a >> np.uint64(1)) & np.uint64(0x5555_5555_5555_5555)
+    gdeg = np.full(codes.size, n, np.int64)
+    rows = np.flatnonzero(b)
+    a, b = a[rows], b[rows]
+    da = np.full(rows.size, n, np.int64)
+    db = _bit_length(b) - 1
+    for _ in range(2 * n + 4):
+        done = da <= 0
+        if done.any():
+            gdeg[rows[done]] = np.where(da[done] == 0, 0, db[done])
+            keep = ~done
+            rows, a, b, da, db = rows[keep], a[keep], b[keep], da[keep], db[keep]
+        if not rows.size:
+            return gdeg
+        swap = da < db
+        a, b = np.where(swap, b, a), np.where(swap, a, b)
+        da, db = np.where(swap, db, da), np.where(swap, da, db)
+        a ^= b << (da - db).astype(np.uint64)
+        da = _bit_length(a) - 1
+    raise RuntimeError("batched gcd failed to converge")
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Bit length of each uint64 below 2^53 (0 for 0), exact via frexp."""
+    return np.frexp(x.astype(np.float64))[1].astype(np.int64)
 
 
 def _chain_signatures(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,17 +562,23 @@ def _chain_signatures(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np
             cdeg[rows] = d - fdeg
 
 
+def _monic_rows(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low-aligned coefficients of the monic degree-n codes and of their derivatives."""
+    full = np.empty((codes.size, n + 1), _coeff_dtype(p))
+    full[:, :n] = _digit_matrix(p, codes, n)
+    full[:, n] = 1
+    deriv = full[:, 1:] * (np.arange(1, n + 1) % p).astype(full.dtype) % p
+    return full, deriv
+
+
 def _census_range(p: int, n: int, lo: int, hi: int, block: int = _BLOCK) -> dict[int, int]:
     counts: dict[int, int] = {}
-    mult = (np.arange(1, n + 1, dtype=np.int16) % p)[None, :]
     for start in range(lo, hi, block):
         codes = np.arange(start, min(start + block, hi), dtype=np.int64)
-        m = codes.size
-        full = np.empty((m, n + 1), np.int16)
-        full[:, :n] = _digit_matrix(p, codes, n)
-        full[:, n] = 1
-        deriv = (full[:, 1:] * mult) % p
-        gdeg = _batched_gcd_degree(full, deriv, p)
+        if p == 2:
+            gdeg = _packed_gcd_degree_f2(n, codes)
+        else:
+            gdeg = _batched_gcd_degree(*_monic_rows(p, n, codes), p)
         sig, repeated = _chain_signatures(p, n, codes)
         if not np.array_equal(repeated, gdeg > 0):
             raise RuntimeError(

@@ -1,11 +1,15 @@
 """Finite-field square-free census and its polynomial arithmetic core."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidchar.fforacle import (
     BudgetError,
+    _batched_gcd_degree,
+    _monic_rows,
+    _packed_gcd_degree_f2,
     census_vs_theory,
     enumerate_irreducibles,
     factor_list,
@@ -84,11 +88,46 @@ def test_census_counts_ordered_canonically():
 
 
 def test_engines_agree():
-    for p, top in ((2, 8), (3, 5), (5, 3), (7, 2)):
+    for p, top in ((2, 8), (3, 5), (5, 3), (7, 2), (11, 3), (13, 3)):
         for n in range(1, top + 1):
             scalar = factor_type_census(p, n, engine="scalar")
             vector = factor_type_census(p, n, engine="vector")
             assert scalar.counts == vector.counts
+
+
+def scalar_gcd_degrees(p, n):
+    """deg gcd(f, f') for every monic degree-n f over F_p, by scalar Euclid."""
+    degrees = []
+    for code in range(p**n):
+        f = poly_from_code(code, n, p)
+        degrees.append(poly_degree(poly_gcd(f, poly_derivative(f, p), p)))
+    return degrees
+
+
+@pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
+def test_batched_gcd_matches_scalar_rows(p, top):
+    for n in range(1, top + 1):
+        codes = np.arange(p**n, dtype=np.int64)
+        gdeg = _batched_gcd_degree(*_monic_rows(p, n, codes), p)
+        assert gdeg.tolist() == scalar_gcd_degrees(p, n), (p, n)
+
+
+def test_packed_f2_gcd_matches_both_kernels():
+    zero_derivative = 0
+    for n in range(1, 13):
+        codes = np.arange(2**n, dtype=np.int64)
+        packed = _packed_gcd_degree_f2(n, codes).tolist()
+        assert packed == _batched_gcd_degree(*_monic_rows(2, n, codes), 2).tolist(), n
+        assert packed == scalar_gcd_degrees(2, n), n
+        zero_derivative += packed.count(n)
+    # f' = 0 (f a square over F_2) leaves the kernel at once with gcd f
+    assert zero_derivative > 0
+
+
+@pytest.mark.parametrize("p, n", [(131, 2), (257, 2), (1009, 2), (10007, 1)])
+def test_vector_census_large_primes(p, n):
+    # digits, their products and the gcd rows must not wrap for p >= 128
+    assert census_vs_theory(p, n, engine="vector").all_ok
 
 
 def test_workers_match_serial():

@@ -214,6 +214,12 @@ def test_cli_oracle_json():
     assert rows["1,1,1"]["count"] == 0
 
 
+def test_cli_oracle_prime_above_int8():
+    res = run_cli("oracle", "--p", "131", "--n", "2", "--format", "json")
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["ok"] is True
+
+
 def test_cli_table_matches_library():
     res = run_cli("table", "betti", "--max-n", "6", "--format", "csv")
     assert res.exit_code == 0
