@@ -55,7 +55,7 @@ workers_option = click.option(
     "--workers",
     type=click.IntRange(1, os.cpu_count() or 1),
     default=None,
-    help="Census worker processes, from 1 to the CPU count.",
+    help="Census threads, from 1 to the CPU count [default: the CPU count].",
 )
 degree_option = click.option(
     "--n", type=click.IntRange(min=1), required=True, help="Symmetric group degree."

@@ -35,11 +35,20 @@ Over F_2 the rows are instead bit-packed into uint64 words, one polynomial
 per word, and each Euclid step is a shift and an XOR.  Coefficient arrays
 use the narrowest signed dtype that holds (p - 1)^2, so no product of two
 digits wraps for any p.
+
+The vectorized census runs its blocks on ``workers`` threads (by default
+the CPU count), which share one set of factor tables built before the
+blocks are dispatched; numpy releases the interpreter lock in the loops
+that do the work.  With w threads each block has _BLOCK // w rows, so
+about _BLOCK rows are in flight at any time and peak memory does not grow
+with the number of threads.  There are never more threads than blocks.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import os
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -53,7 +62,7 @@ from .ratpoly import cycle_polynomial, necklace_polynomial
 PolyCoeffs = tuple[int, ...]
 
 DEFAULT_BUDGET = 10**7
-_SCALAR_CUTOFF = 2048
+_SCALAR_CUTOFF = 16  # largest p^n at which the scalar engine was faster, cold process
 _BLOCK = 1 << 18
 
 
@@ -345,13 +354,23 @@ def _coeff_dtype(p: int, terms: int = 1) -> np.dtype:
     return np.dtype(np.int64)
 
 
-def _digit_matrix(p: int, codes: np.ndarray, width: int) -> np.ndarray:
-    out = np.empty((codes.size, width), _coeff_dtype(p))
-    c = codes.copy()
-    for i in range(width):
-        c, r = np.divmod(c, p)
-        out[:, i] = r
-    return out
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """x %= p in place, for x >= 0.
+
+    numpy vectorises integer division by a scalar but not %, which is
+    about 10x slower on int8 rows.
+    """
+    x -= x // p * p
+    return x
+
+
+def _write_digits(p: int, codes: np.ndarray, out: np.ndarray) -> None:
+    """Base-p digits of codes, least significant first, into out[0], out[1], ..."""
+    c = codes
+    for row in out:
+        q = c // p
+        row[...] = c - q * p
+        c = q
 
 
 @lru_cache(maxsize=None)
@@ -364,40 +383,49 @@ def _inverse_table(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _factor_table(p: int, d: int) -> _FactorTable:
+    """Smallest irreducible factor of every monic degree-d code, by sieve.
+
+    Every product g * h with g irreducible of degree e <= d/2 is marked.
+    The pairs (e, g) run from the largest to the smallest and each pass
+    simply overwrites, so the smallest factor is the one written last; the
+    codes never written are the irreducibles, and keep sif_deg = 0.
+    """
     size = p**d
-    sif_deg = np.full(size, -1, np.int8)
+    sif_deg = np.zeros(size, np.int8)
     sif_code = np.zeros(size, np.int32)
     quot = np.zeros(size, np.int32)
-    powers = p ** np.arange(d, dtype=np.int64)
-    for e in range(1, d // 2 + 1):
+    code_dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    for e in range(d // 2, 0, -1):
+        # row i of hfull (of prod) is the x^i coefficient of every cofactor h
+        # (of every product g * h below x^d), so each row is contiguous
         hdeg = d - e
         hsize = p**hdeg
-        hfull = np.empty((hsize, hdeg + 1), _coeff_dtype(p))
-        hfull[:, :hdeg] = _digit_matrix(p, np.arange(hsize, dtype=np.int64), hdeg)
-        hfull[:, hdeg] = 1
-        hcodes = np.arange(hsize, dtype=np.int32)
-        for gc in _irreducible_codes(p, e).tolist():
-            gfull = poly_from_code(gc, e, p)
-            prod = np.zeros((hsize, d + 1), _coeff_dtype(p, e + 1))
-            for j, gj in enumerate(gfull):
+        hcodes = np.arange(hsize, dtype=code_dtype)
+        hfull = np.empty((hdeg + 1, hsize), _coeff_dtype(p))
+        _write_digits(p, hcodes, hfull[:hdeg])
+        hfull[hdeg] = 1
+        prod = np.empty((d, hsize), _coeff_dtype(p, e + 1))
+        for gc in reversed(_irreducible_codes(p, e).tolist()):
+            prod.fill(0)
+            for j, gj in enumerate(poly_from_code(gc, e, p)):
                 if gj:
-                    prod[:, j : j + hdeg + 1] += gj * hfull
-            prod %= p
-            codes = prod[:, :d].astype(np.int64) @ powers
-            fresh = sif_deg[codes] == -1
-            target = codes[fresh]
-            sif_deg[target] = e
-            sif_code[target] = gc
-            quot[target] = hcodes[fresh]
-    missing = sif_deg == -1
-    count = int(missing.sum())
+                    top = min(j + hdeg + 1, d)
+                    prod[j:top] += gj * hfull[: top - j]
+            _reduce(prod, p)
+            codes = prod[d - 1].astype(code_dtype)
+            for row in prod[d - 2 :: -1]:
+                codes *= p
+                codes += row
+            sif_deg[codes] = e
+            sif_code[codes] = gc
+            quot[codes] = hcodes
+    count = size - np.count_nonzero(sif_deg)
     expected = necklace_polynomial(d)(p)
     if expected.denominator != 1 or count != expected:
         raise RuntimeError(
             f"irreducible count at degree {d} over F_{p} is {count}, "
             f"expected M_{d}({p}) = {expected}"
         )
-    sif_deg[missing] = 0
     return _FactorTable(sif_deg, sif_code, quot)
 
 
@@ -464,9 +492,11 @@ def _batched_gcd_degree(full: np.ndarray, deriv: np.ndarray, p: int) -> np.ndarr
     nz = deriv[:, ::-1] != 0
     rows = np.flatnonzero(nz.any(axis=1))
     db = (deriv.shape[1] - 1) - np.argmax(nz[rows], axis=1)
-    idx = db[:, None] - np.arange(width)[None, :]
-    b = np.where(idx >= 0, np.take_along_axis(deriv[rows], np.maximum(idx, 0), axis=1), 0)
-    b = b.astype(full.dtype)
+    live = deriv[rows]
+    b = np.zeros((rows.size, width), full.dtype)
+    for d in np.flatnonzero(np.bincount(db)).tolist():
+        same = np.flatnonzero(db == d)
+        b[same, : d + 1] = live[same, d::-1]
     a = np.ascontiguousarray(full[rows, ::-1])
     da = np.full(rows.size, width - 1, np.int64)
     inv = _inverse_table(p)
@@ -482,9 +512,9 @@ def _batched_gcd_degree(full: np.ndarray, deriv: np.ndarray, p: int) -> np.ndarr
         if swap.size:
             a[swap], b[swap] = b[swap], a[swap]
             da[swap], db[swap] = db[swap], da[swap]
-        coef = a[:, 0] * inv[b[:, 0]] % p
+        coef = _reduce(a[:, 0] * inv[b[:, 0]], p)
         a -= coef[:, None] * b
-        a -= a // p * p  # a %= p, but numpy vectorises division by a scalar, not %
+        _reduce(a, p)
         a[:, :-1] = a[:, 1:]
         a[:, -1] = 0
         da -= 1
@@ -546,7 +576,7 @@ def _chain_signatures(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np
         live = cdeg > 0
         if not live.any():
             return sig, repeated
-        for d in np.unique(cdeg[live]).tolist():
+        for d in np.flatnonzero(np.bincount(cdeg[live])).tolist():
             rows = np.flatnonzero(cdeg == d)
             table = _factor_table(p, d)
             c = cur[rows]
@@ -565,47 +595,47 @@ def _chain_signatures(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np
 def _monic_rows(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Low-aligned coefficients of the monic degree-n codes and of their derivatives."""
     full = np.empty((codes.size, n + 1), _coeff_dtype(p))
-    full[:, :n] = _digit_matrix(p, codes, n)
+    _write_digits(p, codes, full[:, :n].T)
     full[:, n] = 1
-    deriv = full[:, 1:] * (np.arange(1, n + 1) % p).astype(full.dtype) % p
+    deriv = _reduce(full[:, 1:] * (np.arange(1, n + 1) % p).astype(full.dtype), p)
     return full, deriv
 
 
-def _census_range(p: int, n: int, lo: int, hi: int, block: int = _BLOCK) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    for start in range(lo, hi, block):
-        codes = np.arange(start, min(start + block, hi), dtype=np.int64)
-        if p == 2:
-            gdeg = _packed_gcd_degree_f2(n, codes)
-        else:
-            gdeg = _batched_gcd_degree(*_monic_rows(p, n, codes), p)
-        sig, repeated = _chain_signatures(p, n, codes)
-        if not np.array_equal(repeated, gdeg > 0):
-            raise RuntimeError(
-                f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
-            )
-        uniq, cnt = np.unique(sig[gdeg == 0], return_counts=True)
-        for s, k in zip(uniq.tolist(), cnt.tolist()):
-            counts[s] = counts.get(s, 0) + int(k)
-    return counts
+def _census_block(p: int, n: int, lo: int, hi: int) -> dict[int, int]:
+    """Signature -> count of the square-free codes in [lo, hi), cross-checked."""
+    codes = np.arange(lo, hi, dtype=np.int64)
+    if p == 2:
+        gdeg = _packed_gcd_degree_f2(n, codes)
+    else:
+        gdeg = _batched_gcd_degree(*_monic_rows(p, n, codes), p)
+    sig, repeated = _chain_signatures(p, n, codes)
+    if not np.array_equal(repeated, gdeg > 0):
+        raise RuntimeError(
+            f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
+        )
+    uniq, cnt = np.unique(sig[gdeg == 0], return_counts=True)
+    return dict(zip(uniq.tolist(), cnt.tolist()))
 
 
 def _census_vector(p: int, n: int, workers: int | None) -> dict[Partition, int]:
+    # every table the blocks read is built here, so the threads only read them
+    for d in range(1, n + 1):
+        _factor_table(p, d)
+    _inverse_table(p)
+    _sig_layout(n)
+    threads = workers or os.cpu_count() or 1
+    block = max(1, _BLOCK // threads)
     total = p**n
-    if workers and workers > 1:
-        # build the factor tables once in the parent so forked workers share them
-        for d in range(1, n + 1):
-            _factor_table(p, d)
-        step = -(-total // workers)
-        bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-        merged: dict[int, int] = {}
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_census_range, p, n, lo, hi) for lo, hi in bounds]
-            for future in futures:
-                for s, k in future.result().items():
-                    merged[s] = merged.get(s, 0) + k
+    bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
+    threads = min(threads, len(bounds))
+    if threads == 1:
+        parts = [_census_block(p, n, lo, hi) for lo, hi in bounds]
     else:
-        merged = _census_range(p, n, 0, total)
+        with ThreadPoolExecutor(threads) as pool:
+            parts = list(pool.map(lambda b: _census_block(p, n, *b), bounds))
+    merged: Counter[int] = Counter()
+    for part in parts:
+        merged.update(part)
     return {_sig_to_type(s, n): k for s, k in merged.items()}
 
 
@@ -619,6 +649,10 @@ def factor_type_census(
 ) -> FactorTypeTally:
     """Count square-free monic degree-n polynomials over F_p by type.
 
+    ``workers`` is the number of threads of the vector engine, by default
+    the CPU count; cells of at most _SCALAR_CUTOFF candidates run the
+    scalar engine unless ``engine`` says otherwise.
+
     >>> factor_type_census(3, 2).counts
     {(2,): 3, (1, 1): 3}
     """
@@ -626,11 +660,13 @@ def factor_type_census(
         raise ValueError(f"p must be prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     required = p**n
     if required > budget:
         raise BudgetError(f"census of degree {n} over F_{p}", required, budget)
     if engine == "auto":
-        engine = "scalar" if required <= _SCALAR_CUTOFF and not workers else "vector"
+        engine = "scalar" if required <= _SCALAR_CUTOFF else "vector"
     if engine == "scalar":
         raw = _census_scalar(p, n, budget)
     elif engine == "vector":

@@ -1,10 +1,14 @@
 """Finite-field square-free census and its polynomial arithmetic core."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidchar import fforacle
 from braidchar.fforacle import (
     BudgetError,
     _batched_gcd_degree,
@@ -95,6 +99,25 @@ def test_engines_agree():
             assert scalar.counts == vector.counts
 
 
+@pytest.mark.parametrize("p, d", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3)])
+def test_factor_table_matches_trial_division(p, d):
+    # the table holds the smallest irreducible factor by (degree, code), which
+    # is the first factor trial division finds; degree 0 marks an irreducible
+    table = fforacle._factor_table(p, d)
+    irr = enumerate_irreducibles(p, d)
+    for code in range(p**d):
+        f = poly_from_code(code, d, p)
+        g, _ = factor_list(f, p, irr)[0]
+        if poly_degree(g) == d:
+            assert table.sif_deg[code] == 0, (p, code)
+            continue
+        quot, rem = poly_divmod(f, g, p)
+        assert not rem
+        got = (table.sif_deg[code], table.sif_code[code], table.quot[code])
+        want = (poly_degree(g), poly_to_code(g, p), poly_to_code(quot, p))
+        assert got == want, (p, code)
+
+
 def scalar_gcd_degrees(p, n):
     """deg gcd(f, f') for every monic degree-n f over F_p, by scalar Euclid."""
     degrees = []
@@ -130,10 +153,37 @@ def test_vector_census_large_primes(p, n):
     assert census_vs_theory(p, n, engine="vector").all_ok
 
 
-def test_workers_match_serial():
-    serial = factor_type_census(3, 8, engine="vector")
-    parallel = factor_type_census(3, 8, engine="vector", workers=2)
-    assert serial.counts == parallel.counts
+def test_workers_match_serial(monkeypatch):
+    serial = factor_type_census(3, 8, engine="vector", workers=1)
+    # 3^8 = 6561 codes fit one default block; split them into 13 to 103 blocks
+    monkeypatch.setattr(fforacle, "_BLOCK", 512)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for workers in (1, 2, None, 8):
+            parallel = factor_type_census(3, 8, engine="vector", workers=workers)
+            assert serial.counts == parallel.counts, workers
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_worker_thread_failure_reaches_caller(monkeypatch):
+    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 26 blocks of 256 codes on 2 threads
+    kernel = fforacle._batched_gcd_degree
+    corrupted_in = []
+
+    def corrupt_one_block(full, deriv, p):
+        gdeg = kernel(full, deriv, p)
+        if poly_to_code(tuple(full[0].tolist()), p) == 5 * 256:
+            corrupted_in.append(threading.current_thread())
+            gdeg[0] = int(gdeg[0] == 0)  # flip the square-free verdict of one row
+        return gdeg
+
+    monkeypatch.setattr(fforacle, "_batched_gcd_degree", corrupt_one_block)
+    with pytest.raises(RuntimeError, match="disagrees with factorization"):
+        factor_type_census(3, 8, engine="vector", workers=2)
+    assert len(corrupted_in) == 1
+    assert corrupted_in[0] is not threading.main_thread()
 
 
 def test_census_vs_theory_reports():
@@ -176,6 +226,9 @@ def test_bad_inputs_rejected():
         factor_type_census(2, 0)
     with pytest.raises(ValueError):
         factor_type_census(2, 3, engine="quantum")
+    for workers in (0, -3):
+        with pytest.raises(ValueError, match="workers"):
+            factor_type_census(2, 3, workers=workers)
 
 
 def poly_add(a, b, p):
