@@ -4,7 +4,9 @@ Every command builds its header, rows and JSON payload once and prints them
 through ``tables.render``.  Exit codes: 0 on success, 1 when a verification
 fails (a ``verify`` suite check or an ``oracle`` census mismatch), 2 on usage
 errors (bad or conflicting flags, out-of-range arguments, refused budgets
-and sizes).
+and sizes).  The library validates its own arguments and raises ValueError;
+``_Command`` turns that into a usage error in one place, so the commands
+check only what the library cannot see: flag combinations and size limits.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 import click
 
 from .characters import a_character, b_character, b_character_signed, braid_character
-from .fforacle import DEFAULT_BUDGET, BudgetError, census_vs_theory
+from .fforacle import DEFAULT_BUDGET, census_vs_theory
 from .partitions import format_partition, parse_partition, partitions
 from .ratpoly import cycle_polynomial
 from .specht import decompose
@@ -62,7 +64,21 @@ degree_option = click.option(
 )
 
 
-@click.group()
+class _Command(click.Command):
+    """A command whose library ValueError (bad argument, refused budget) exits 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class _Group(click.Group):
+    command_class = _Command
+
+
+@click.group(cls=_Group)
 @click.version_option(package_name="braidchar")
 def main() -> None:
     """Exact splitting measures, braid cohomology characters, and checks."""
@@ -83,10 +99,7 @@ def measure(n: int, z_text: str | None, per_element: bool, fmt: str) -> None:
     if per_element and z_text is None:
         raise click.UsageError("--per-element needs --z")
     z = _fraction(z_text) if z_text is not None else None
-    try:
-        header, rows, json_rows = measures_table(n, z, per_element)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    header, rows, json_rows = measures_table(n, z, per_element)
     payload = {
         "n": n,
         "z": str(z) if z is not None else None,
@@ -103,10 +116,7 @@ def measure(n: int, z_text: str | None, per_element: bool, fmt: str) -> None:
 @format_option()
 def cycle_poly(lam_text: str, z_text: str | None, fmt: str) -> None:
     """Cycle polynomial of a partition, constant coefficient first."""
-    try:
-        lam = parse_partition(lam_text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    lam = parse_partition(lam_text)
     _check_size("cycle-poly", sum(lam))
     z = _fraction(z_text) if z_text is not None else None
     poly = cycle_polynomial(lam)
@@ -130,9 +140,6 @@ def cycle_poly(lam_text: str, z_text: str | None, fmt: str) -> None:
 
 def _character_table(n: int, k: int | None, kind: str, fmt: str) -> None:
     _check_size("hchar" if kind == "h" else "achar", n)
-    top = n if kind == "h" else n - 1
-    if k is not None and not 0 <= k <= top:
-        raise click.UsageError(f"--k must be between 0 and {top} for n={n}, got {k}")
     ks = [k] if k is not None else list(range(n))
     fn = braid_character if kind == "h" else a_character
     chars = [fn(n, j) for j in ks]
@@ -191,17 +198,12 @@ def decompose_cmd(n: int, k: int | None, m: int | None, which: str, fmt: str) ->
             raise click.UsageError(f"--which {which} requires --k")
         if m is not None:
             raise click.UsageError(f"--m applies to --which b*, not --which {which}")
-        top = n if which == "h" else n - 1
-        if not 0 <= k <= top:
-            raise click.UsageError(f"--k must be between 0 and {top} for n={n}, got {k}")
         f = braid_character(n, k) if which == "h" else a_character(n, k)
     else:
         if k is not None:
             raise click.UsageError(f"--k applies to --which h|a, not --which {which}")
-        if m is None or m < 1:
-            raise click.UsageError(f"--which {which} requires --m >= 1")
-        if n < 2:
-            raise click.UsageError("--which b* requires --n >= 2")
+        if m is None:
+            raise click.UsageError(f"--which {which} requires --m")
         if which == "b":
             f = b_character(n, m)
         else:
@@ -238,10 +240,7 @@ def decompose_cmd(n: int, k: int | None, m: int | None, which: str, fmt: str) ->
 @format_option()
 def oracle(p: int, n: int, workers: int | None, budget: int, fmt: str) -> None:
     """Exhaustive square-free census over F_p versus cycle polynomial counts."""
-    try:
-        report = census_vs_theory(p, n, budget=budget, workers=workers)
-    except (BudgetError, ValueError) as exc:
-        raise click.UsageError(str(exc))
+    report = census_vs_theory(p, n, budget=budget, workers=workers)
     header = ["partition", "count", "theory", "ok"]
     rows = [
         [format_partition(r.partition), r.count, r.predicted, r.ok] for r in report.rows
@@ -277,10 +276,7 @@ def table(name: str, n: int | None, max_n: int | None, fmt: str) -> None:
         raise click.UsageError("table measures takes --n, not --max-n")
     if n is not None and max_n is not None:
         raise click.UsageError("give --n or --max-n, not both")
-    try:
-        click.echo(emit_table(name, n if max_n is None else max_n, fmt), nl=False)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    click.echo(emit_table(name, n if max_n is None else max_n, fmt), nl=False)
 
 
 @main.command()

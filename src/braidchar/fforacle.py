@@ -18,14 +18,17 @@ Two census engines produce identical tallies:
 * a vectorized engine (numpy) that runs the same gcd batched over blocks
   of candidates and replaces per-polynomial trial division by a
   smallest-irreducible-factor sieve: for each degree d it marks every
-  product g * h with g irreducible of degree <= d/2, so factorization is
-  repeated table lookup.  This is the same factorization by smallest
-  irreducible divisor, organized to be fast over millions of candidates.
+  product g * h with g irreducible of degree <= d/2, and records with it
+  the factorization type and repeated-factor flag of g * h, read from the
+  degree d - e table for h.  This is the same factorization by smallest
+  irreducible divisor, organized to be fast over millions of candidates:
+  a block reads every type and flag as one slice of the degree-n table.
 
 The vectorized engine always cross-checks the gcd square-freeness verdict
-against the factorization (a repeated factor must appear exactly when the
-gcd is nonconstant) and the per-degree irreducible counts against the
-necklace polynomial values M_d(p), and raises if either check fails.
+against the sieve's repeated-factor flag (a repeated factor must appear
+exactly when the gcd is nonconstant) and the per-degree irreducible counts
+against the necklace polynomial values M_d(p), and raises if either check
+fails.
 
 Its batched gcd is Euclid on digit rows with the leading coefficient in
 column 0.  Every row moves by exactly one column per step, so a step is a
@@ -47,7 +50,6 @@ with the number of threads.  There are never more threads than blocks.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -327,18 +329,20 @@ def _census_scalar(p: int, n: int, budget: int) -> dict[Partition, int]:
     return counts
 
 
-# Vectorized engine.  Degree-d tables: for every monic degree-d code,
-# the degree and code of its smallest irreducible factor (degree 0 meaning
-# the polynomial is itself irreducible) and the code of the cofactor.
+# Vectorized engine.  Degree-d tables: for every monic degree-d code, the
+# degree and code of its smallest irreducible factor (degree 0 meaning the
+# polynomial is itself irreducible), its factorization type as an index into
+# partitions(d), and whether it has a repeated factor.
 
 
 class _FactorTable:
-    __slots__ = ("sif_deg", "sif_code", "quot")
+    __slots__ = ("sif_deg", "sif_code", "ftype", "repeated")
 
-    def __init__(self, sif_deg, sif_code, quot):
+    def __init__(self, sif_deg, sif_code, ftype, repeated):
         self.sif_deg = sif_deg
         self.sif_code = sif_code
-        self.quot = quot
+        self.ftype = ftype
+        self.repeated = repeated
 
 
 def _coeff_dtype(p: int, terms: int = 1) -> np.dtype:
@@ -383,17 +387,26 @@ def _inverse_table(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _factor_table(p: int, d: int) -> _FactorTable:
-    """Smallest irreducible factor of every monic degree-d code, by sieve.
+    """Smallest irreducible factor, type and repeated flag of each degree-d code.
 
     Every product g * h with g irreducible of degree e <= d/2 is marked.
     The pairs (e, g) run from the largest to the smallest and each pass
     simply overwrites, so the smallest factor is the one written last; the
-    codes never written are the irreducibles, and keep sif_deg = 0.
+    codes never written are the irreducibles, and keep sif_deg = 0 and
+    ftype = 0, the index of (d,).
+
+    The type and flag of g * h come from the degree d - e table for h: the
+    type is h's with a part e added, and g * h has a repeated factor iff h
+    has one or g divides h.  At the last write g is the smallest factor of
+    g * h, so g divides h only as h's own smallest factor, h = g included.
     """
     size = p**d
+    types = partitions(d)
+    type_index = {lam: i for i, lam in enumerate(types)}
     sif_deg = np.zeros(size, np.int8)
     sif_code = np.zeros(size, np.int32)
-    quot = np.zeros(size, np.int32)
+    ftype = np.zeros(size, np.uint8 if len(types) <= 256 else np.uint16)
+    repeated = np.zeros(size, bool)
     code_dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
     for e in range(d // 2, 0, -1):
         # row i of hfull (of prod) is the x^i coefficient of every cofactor h
@@ -401,6 +414,16 @@ def _factor_table(p: int, d: int) -> _FactorTable:
         hdeg = d - e
         hsize = p**hdeg
         hcodes = np.arange(hsize, dtype=code_dtype)
+        htable = _factor_table(p, hdeg)
+        add_e = [
+            type_index[tuple(sorted(mu + (e,), reverse=True))] for mu in partitions(hdeg)
+        ]
+        htype = np.array(add_e, ftype.dtype)[htable.ftype]
+        # code of h's smallest factor where that has degree e (h itself when
+        # h is irreducible of degree e), else -1
+        hfirst = np.where(htable.sif_deg == e, htable.sif_code, -1)
+        if hdeg == e:
+            hfirst = np.where(htable.sif_deg == 0, hcodes, hfirst)
         hfull = np.empty((hdeg + 1, hsize), _coeff_dtype(p))
         _write_digits(p, hcodes, hfull[:hdeg])
         hfull[hdeg] = 1
@@ -418,7 +441,8 @@ def _factor_table(p: int, d: int) -> _FactorTable:
                 codes += row
             sif_deg[codes] = e
             sif_code[codes] = gc
-            quot[codes] = hcodes
+            ftype[codes] = htype
+            repeated[codes] = htable.repeated | (hfirst == gc)
     count = size - np.count_nonzero(sif_deg)
     expected = necklace_polynomial(d)(p)
     if expected.denominator != 1 or count != expected:
@@ -426,37 +450,12 @@ def _factor_table(p: int, d: int) -> _FactorTable:
             f"irreducible count at degree {d} over F_{p} is {count}, "
             f"expected M_{d}({p}) = {expected}"
         )
-    return _FactorTable(sif_deg, sif_code, quot)
+    return _FactorTable(sif_deg, sif_code, ftype, repeated)
 
 
 @lru_cache(maxsize=None)
 def _irreducible_codes(p: int, d: int) -> np.ndarray:
     return np.flatnonzero(_factor_table(p, d).sif_deg == 0).astype(np.int64)
-
-
-@lru_cache(maxsize=None)
-def _sig_layout(n: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Bit offsets and widths packing per-degree factor counts into int64."""
-    shifts = np.zeros(n + 1, np.int64)
-    widths = [0] * (n + 1)
-    bit = 0
-    for e in range(1, n + 1):
-        w = (n // e).bit_length()
-        shifts[e] = bit
-        widths[e] = w
-        bit += w
-    if bit > 62:
-        raise ValueError(f"degree {n} too large for signature packing")
-    return shifts, tuple(widths)
-
-
-def _sig_to_type(sig: int, n: int) -> Partition:
-    shifts, widths = _sig_layout(n)
-    parts: list[int] = []
-    for e in range(n, 0, -1):
-        count = (sig >> int(shifts[e])) & ((1 << widths[e]) - 1)
-        parts.extend([e] * count)
-    return tuple(parts)
 
 
 def _batched_gcd_degree(full: np.ndarray, deriv: np.ndarray, p: int) -> np.ndarray:
@@ -558,40 +557,6 @@ def _bit_length(x: np.ndarray) -> np.ndarray:
     return np.frexp(x.astype(np.float64))[1].astype(np.int64)
 
 
-def _chain_signatures(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor-type signature and repeated-factor flag per monic degree-n code.
-
-    Follows the smallest-factor tables; factors come out sorted by
-    (degree, code), so a repeated factor shows up as consecutive equals.
-    """
-    shifts, _ = _sig_layout(n)
-    m = codes.size
-    sig = np.zeros(m, np.int64)
-    repeated = np.zeros(m, bool)
-    cur = codes.astype(np.int64).copy()
-    cdeg = np.full(m, n, np.int64)
-    prev_deg = np.zeros(m, np.int64)
-    prev_code = np.full(m, -1, np.int64)
-    while True:
-        live = cdeg > 0
-        if not live.any():
-            return sig, repeated
-        for d in np.flatnonzero(np.bincount(cdeg[live])).tolist():
-            rows = np.flatnonzero(cdeg == d)
-            table = _factor_table(p, d)
-            c = cur[rows]
-            e = table.sif_deg[c].astype(np.int64)
-            own = e == 0
-            fdeg = np.where(own, d, e)
-            fcode = np.where(own, c, table.sif_code[c].astype(np.int64))
-            repeated[rows] |= (fdeg == prev_deg[rows]) & (fcode == prev_code[rows])
-            sig[rows] += np.int64(1) << shifts[fdeg]
-            prev_deg[rows] = fdeg
-            prev_code[rows] = fcode
-            cur[rows] = np.where(own, 0, table.quot[c].astype(np.int64))
-            cdeg[rows] = d - fdeg
-
-
 def _monic_rows(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Low-aligned coefficients of the monic degree-n codes and of their derivatives."""
     full = np.empty((codes.size, n + 1), _coeff_dtype(p))
@@ -601,28 +566,25 @@ def _monic_rows(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return full, deriv
 
 
-def _census_block(p: int, n: int, lo: int, hi: int) -> dict[int, int]:
-    """Signature -> count of the square-free codes in [lo, hi), cross-checked."""
+def _census_block(p: int, n: int, lo: int, hi: int) -> np.ndarray:
+    """Count per type index of the square-free codes in [lo, hi), cross-checked."""
     codes = np.arange(lo, hi, dtype=np.int64)
     if p == 2:
         gdeg = _packed_gcd_degree_f2(n, codes)
     else:
         gdeg = _batched_gcd_degree(*_monic_rows(p, n, codes), p)
-    sig, repeated = _chain_signatures(p, n, codes)
-    if not np.array_equal(repeated, gdeg > 0):
+    table = _factor_table(p, n)
+    if not np.array_equal(table.repeated[lo:hi], gdeg > 0):
         raise RuntimeError(
             f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
         )
-    uniq, cnt = np.unique(sig[gdeg == 0], return_counts=True)
-    return dict(zip(uniq.tolist(), cnt.tolist()))
+    return np.bincount(table.ftype[lo:hi][gdeg == 0], minlength=len(partitions(n)))
 
 
 def _census_vector(p: int, n: int, workers: int | None) -> dict[Partition, int]:
     # every table the blocks read is built here, so the threads only read them
-    for d in range(1, n + 1):
-        _factor_table(p, d)
+    _factor_table(p, n)
     _inverse_table(p)
-    _sig_layout(n)
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
     total = p**n
@@ -633,10 +595,7 @@ def _census_vector(p: int, n: int, workers: int | None) -> dict[Partition, int]:
     else:
         with ThreadPoolExecutor(threads) as pool:
             parts = list(pool.map(lambda b: _census_block(p, n, *b), bounds))
-    merged: Counter[int] = Counter()
-    for part in parts:
-        merged.update(part)
-    return {_sig_to_type(s, n): k for s, k in merged.items()}
+    return dict(zip(partitions(n), sum(parts).tolist()))
 
 
 def factor_type_census(

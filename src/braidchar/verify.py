@@ -14,7 +14,7 @@ character tables up to n = 9, and a finite-field census grid capped at
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import reference
@@ -98,13 +98,11 @@ class VerifyLimits:
     def capped(self, max_n: int | None) -> "VerifyLimits":
         if max_n is None:
             return self
-        return VerifyLimits(
+        return replace(
+            self,
             max_n=min(self.max_n, max_n),
             max_n_class=min(self.max_n_class, max_n),
-            oracle_primes=self.oracle_primes,
-            oracle_limit=self.oracle_limit,
             oracle_max_degree=max_n,
-            workers=self.workers,
         )
 
 

@@ -102,20 +102,21 @@ def test_engines_agree():
 @pytest.mark.parametrize("p, d", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3)])
 def test_factor_table_matches_trial_division(p, d):
     # the table holds the smallest irreducible factor by (degree, code), which
-    # is the first factor trial division finds; degree 0 marks an irreducible
+    # is the first factor trial division finds (degree 0 marks an irreducible),
+    # and the type and repeated flag of every code, square-free or not
     table = fforacle._factor_table(p, d)
     irr = enumerate_irreducibles(p, d)
     for code in range(p**d):
         f = poly_from_code(code, d, p)
-        g, _ = factor_list(f, p, irr)[0]
+        factors = factor_list(f, p, irr)
+        assert partitions(d)[table.ftype[code]] == factor_type(f, p, irr), (p, code)
+        assert table.repeated[code] == any(m > 1 for _, m in factors), (p, code)
+        g, _ = factors[0]
         if poly_degree(g) == d:
             assert table.sif_deg[code] == 0, (p, code)
             continue
-        quot, rem = poly_divmod(f, g, p)
-        assert not rem
-        got = (table.sif_deg[code], table.sif_code[code], table.quot[code])
-        want = (poly_degree(g), poly_to_code(g, p), poly_to_code(quot, p))
-        assert got == want, (p, code)
+        got = (table.sif_deg[code], table.sif_code[code])
+        assert got == (poly_degree(g), poly_to_code(g, p)), (p, code)
 
 
 def scalar_gcd_degrees(p, n):

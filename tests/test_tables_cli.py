@@ -254,6 +254,8 @@ def test_cli_verify_json():
         ("decompose", "--n", "3", "--which", "h"),
         ("decompose", "--n", "3", "--which", "b"),
         ("decompose", "--n", "1", "--which", "b", "--m", "1"),
+        ("decompose", "--n", "4", "--which", "b", "--m", "0"),
+        ("hchar", "--n", "4", "--k", "-1"),
         ("oracle", "--p", "4", "--n", "2"),
         ("oracle", "--p", "2", "--n", "40"),
         ("table", "measures", "--n", "13"),

@@ -48,6 +48,8 @@ def test_capped_limits():
     assert limits.max_n == 5
     assert limits.max_n_class == 5
     assert limits.oracle_max_degree == 5
+    custom = VerifyLimits(workers=2, oracle_primes=(3, 5)).capped(4)
+    assert (custom.workers, custom.oracle_primes) == (2, (3, 5))
     assert VerifyLimits(max_n=3).capped(8).max_n == 3
     assert VerifyLimits().capped(None) == VerifyLimits()
 
