@@ -5,11 +5,11 @@ action whose character h_n^k is read off the cycle polynomial:
 
     h_n^k(lam) = (-1)^k * z_lam * [z^(n-k)] N_lam(z).
 
+z_lam N_lam(z) has integer coefficients (see `ratpoly`), read with no division.
 Each h_n^k splits as chi_n^(k-1) + chi_n^k where chi_n^k is the character of
-an honest subrepresentation A_n^k (chi_n^(-1) = chi_n^n = 0), recovered by
-the alternating partial sums
-
-    chi_n^k = sum_{j=0}^{k} (-1)^(k-j) h_n^j.
+an honest subrepresentation A_n^k (chi_n^(-1) = chi_n^n = 0), so chi_n^k =
+h_n^k - chi_n^(k-1), the alternating partial sums of the h_n^j.  B+- and the
+sign-twisted sum are likewise sums of `ClassFunction` terms.
 
 The splitting measure coefficients are rescaled character values:
 alpha_k(C_lam) = (-1)^k chi_n^k(lam) / z_lam.
@@ -25,14 +25,13 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import comb, factorial
 from numbers import Rational
 from typing import Callable, Mapping
 
 from .partitions import (
     Partition,
-    centralizer_order,
     check_partition,
     class_data,
     moebius,
@@ -40,7 +39,7 @@ from .partitions import (
     partitions,
     sign_character,
 )
-from .ratpoly import cycle_polynomial
+from .ratpoly import scaled_cycle_polynomial
 
 
 class NoClosedFormError(ValueError):
@@ -128,11 +127,7 @@ def braid_character(n: int, k: int) -> ClassFunction:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     sign = -1 if k % 2 else 1
-    values = {}
-    for lam in partitions(n):
-        v = sign * centralizer_order(lam) * cycle_polynomial(lam).coefficient(n - k)
-        values[lam] = _as_integer(v, f"h_{n}^{k}({lam})")
-    return ClassFunction(n, values)
+    return ClassFunction.from_rule(n, lambda lam: sign * scaled_cycle_polynomial(lam)[n - k])
 
 
 @cache
@@ -144,13 +139,8 @@ def a_character(n: int, k: int) -> ClassFunction:
     """
     if not 0 <= k <= n - 1:
         raise ValueError(f"need 0 <= k <= n-1, got k={k}, n={n}")
-    values = {lam: 0 for lam in partitions(n)}
-    for j in range(k + 1):
-        sign = -1 if (k - j) % 2 else 1
-        h = braid_character(n, j)
-        for lam in values:
-            values[lam] += sign * h.values[lam]
-    return ClassFunction(n, values)
+    h = braid_character(n, k)
+    return h - a_character(n, k - 1) if k else h
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
@@ -170,13 +160,9 @@ def sign_twisted_sum(n: int) -> ClassFunction:
     >>> sign_twisted_sum(4)((2, 2))
     0
     """
-    values = {lam: 0 for lam in partitions(n)}
-    for k in range(n + 1):
-        h = braid_character(n, k)
-        for lam in values:
-            s = sign_character(lam)
-            values[lam] += h.values[lam] * (s if k % 2 else 1)
-    return ClassFunction(n, values)
+    sgn = ClassFunction.sign(n)
+    terms = (braid_character(n, k) * (sgn if k % 2 else 1) for k in range(n + 1))
+    return reduce(operator.add, terms)
 
 
 def b_character(n: int, m: int) -> ClassFunction:
@@ -198,14 +184,8 @@ def b_character_signed(n: int, m: int) -> tuple[ClassFunction, ClassFunction]:
         raise ValueError(f"need n >= 2, got {n}")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    plus = {lam: 0 for lam in partitions(n)}
-    minus = {lam: 0 for lam in partitions(n)}
-    for k in range(n):
-        chi = a_character(n, k)
-        target = plus if k % 2 == 0 else minus
-        for lam in target:
-            target[lam] += chi.values[lam] * m**k
-    return ClassFunction(n, plus), ClassFunction(n, minus)
+    terms = [a_character(n, k) * m**k for k in range(n)]
+    return reduce(operator.add, terms[0::2]), reduce(operator.add, terms[1::2])
 
 
 # --- closed forms ---------------------------------------------------------

@@ -69,14 +69,32 @@ _BLOCK = 1 << 18
 
 
 class BudgetError(ValueError):
-    """Raised when an enumeration would exceed the candidate budget."""
+    """Raised when an enumeration would exceed the candidate budget.
 
-    def __init__(self, what: str, required: int, budget: int):
+    ``required`` is None when the count, known to exceed budget**2, was
+    refused without being formed.
+    """
+
+    def __init__(self, what: str, required: int | None, budget: int):
         self.required = required
         self.budget = budget
-        super().__init__(
-            f"{what} requires a budget of {required} candidates, configured {budget}"
-        )
+        need = f"more than {budget}^2" if required is None else f"a budget of {required}"
+        super().__init__(f"{what} requires {need} candidates, configured {budget}")
+
+
+def _candidates(p: int, n: int, budget: int, what: str) -> int:
+    """p**n, or BudgetError when it exceeds ``budget``.
+
+    Callers run this before the primality test, a trial division.  When p**n
+    would have over four times the budget's bits it is refused unformed: then
+    p**n >= 2**(bits(p) n / 2) > budget**2, and forming it can take seconds.
+    """
+    if p.bit_length() > 1 and p.bit_length() * n > 4 * budget.bit_length():
+        raise BudgetError(what, None, budget)
+    required = p**n
+    if required > budget:
+        raise BudgetError(what, required, budget)
+    return required
 
 
 def is_prime(p: int) -> bool:
@@ -196,14 +214,11 @@ def enumerate_irreducibles(
     >>> [len(v) for v in enumerate_irreducibles(2, 3).values()]
     [2, 1, 2]
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    required = p**d_max
-    if required > budget:
-        raise BudgetError(f"enumerating irreducibles to degree {d_max} over F_{p}",
-                          required, budget)
+    _candidates(p, d_max, budget, f"enumerating irreducibles to degree {d_max} over F_{p}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     table: dict[int, list[PolyCoeffs]] = {}
     for d in range(1, d_max + 1):
         found = []
@@ -615,15 +630,13 @@ def factor_type_census(
     >>> factor_type_census(3, 2).counts
     {(2,): 3, (1, 1): 3}
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    required = p**n
-    if required > budget:
-        raise BudgetError(f"census of degree {n} over F_{p}", required, budget)
+    required = _candidates(p, n, budget, f"census of degree {n} over F_{p}")
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     if engine == "auto":
         engine = "scalar" if required <= _SCALAR_CUTOFF else "vector"
     if engine == "scalar":

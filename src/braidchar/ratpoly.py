@@ -12,6 +12,11 @@ The two polynomial families this package revolves around:
 * the cycle polynomial     N_lam(z) = prod_j binom(M_j(z), m_j),
   whose value at q counts monic square-free polynomials of degree n with
   factorization type lam (m_j = multiplicity of j in lam).
+
+As j M_j(z) has integer coefficients, z_lam N_lam(z) is an integer product,
+prod_j prod_{i < m_j} (j M_j(z) - i j), which `scaled_cycle_polynomial` forms
+in plain ints; `cycle_polynomial` divides it by z_lam once.  `poly_binomial`
+keeps the `Fraction` route as an independent reference.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from math import factorial
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .partitions import Partition, divisors, moebius, multiplicities
+from .partitions import Partition, centralizer_order, divisors, moebius, multiplicities
 
 
 class RatPoly:
@@ -223,6 +228,28 @@ def poly_binomial(p: RatPoly, m: int) -> RatPoly:
 
 
 @cache
+def scaled_cycle_polynomial(lam: Partition) -> tuple[int, ...]:
+    """z_lam N_lam(z) as integer coefficients, constant term first.
+
+    The schoolbook product of the factors j M_j(z) - i j over i < m_j; the
+    result is monic of degree |lam|.
+
+    >>> scaled_cycle_polynomial((2, 1, 1))
+    (0, 0, 1, -2, 1)
+    """
+    out = [1]
+    for j, m in sorted(multiplicities(lam).items()):
+        terms = [(j // d, moebius(d)) for d in divisors(j) if moebius(d)]
+        for i in range(m):
+            product = [0] * (len(out) + j)
+            for e, c in [*terms, (0, -i * j)]:
+                for t, a in enumerate(out, e):
+                    product[t] += c * a
+            out = product
+    return tuple(out)
+
+
+@cache
 def cycle_polynomial(lam: Partition) -> RatPoly:
     """N_lam(z) = prod_j binom(M_j(z), m_j), of degree |lam|.
 
@@ -232,13 +259,4 @@ def cycle_polynomial(lam: Partition) -> RatPoly:
     >>> print(cycle_polynomial((2, 1, 1)))
     1/4*z^4 - 1/2*z^3 + 1/4*z^2
     """
-    out = ONE
-    for j, m in sorted(multiplicities(lam).items()):
-        out = out * _cycle_factor(j, m)
-    return out
-
-
-@cache
-def _cycle_factor(j: int, m: int) -> RatPoly:
-    """binom(M_j(z), m), shared by every partition with m parts equal to j."""
-    return poly_binomial(necklace_polynomial(j), m)
+    return RatPoly(scaled_cycle_polynomial(lam)) / centralizer_order(lam)

@@ -208,6 +208,53 @@ def test_b_character_signed_split():
                 assert plus(lam) + minus(lam) == total(lam)
 
 
+# Loop definitions of the derived characters, frozen as a reference for the
+# ClassFunction arithmetic in `characters`.
+
+
+def loop_a_character(n, k):
+    """chi_n^k as the alternating partial sum of h_n^0 .. h_n^k."""
+    values = {lam: 0 for lam in partitions(n)}
+    for j in range(k + 1):
+        sign = -1 if (k - j) % 2 else 1
+        h = braid_character(n, j)
+        for lam in values:
+            values[lam] += sign * h.values[lam]
+    return values
+
+
+def loop_b_character_signed(n, m):
+    """(B+, B-): chi_n^k m^k summed over even and over odd k."""
+    plus = {lam: 0 for lam in partitions(n)}
+    minus = {lam: 0 for lam in partitions(n)}
+    for k in range(n):
+        chi = loop_a_character(n, k)
+        target = plus if k % 2 == 0 else minus
+        for lam in target:
+            target[lam] += chi[lam] * m**k
+    return plus, minus
+
+
+def loop_sign_twisted_sum(n):
+    """sum_k h_n^k sgn^k, one class at a time."""
+    values = {lam: 0 for lam in partitions(n)}
+    for k in range(n + 1):
+        h = braid_character(n, k)
+        for lam in values:
+            values[lam] += h.values[lam] * (sign_character(lam) if k % 2 else 1)
+    return values
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_derived_characters_match_loop_definitions(n):
+    for k in range(n):
+        assert a_character(n, k).values == loop_a_character(n, k)
+    for m in (1, 2, 3) if n >= 2 else ():
+        plus, minus = b_character_signed(n, m)
+        assert (plus.values, minus.values) == loop_b_character_signed(n, m)
+    assert sign_twisted_sum(n).values == loop_sign_twisted_sum(n)
+
+
 def test_b_character_is_weighted_sum():
     for n in range(2, 8):
         for m in (1, 2, 3):

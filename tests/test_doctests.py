@@ -2,24 +2,20 @@
 
 import doctest
 import importlib
+import pkgutil
 
 import pytest
 
-MODULE_NAMES = [
-    "braidchar",
-    "braidchar.characters",
-    "braidchar.cli",
-    "braidchar.fforacle",
-    "braidchar.measures",
-    "braidchar.partitions",
-    "braidchar.ratpoly",
-    "braidchar.reference",
-    "braidchar.specht",
-    "braidchar.tables",
-    "braidchar.verify",
+import braidchar
+
+MODULES = [braidchar] + [
+    importlib.import_module(f"braidchar.{info.name}")
+    for info in pkgutil.iter_modules(braidchar.__path__)
 ]
 
-MODULES = [importlib.import_module(name) for name in MODULE_NAMES]
+
+def test_every_module_found():
+    assert len({m.__name__ for m in MODULES}) >= 11
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidchar.partitions import centralizer_order, divisors, partitions
+from braidchar.partitions import centralizer_order, divisors, multiplicities, partitions
 from braidchar.ratpoly import (
     ONE,
     Z,
@@ -16,6 +16,7 @@ from braidchar.ratpoly import (
     cycle_polynomial,
     necklace_polynomial,
     poly_binomial,
+    scaled_cycle_polynomial,
 )
 
 small_fractions = st.fractions(
@@ -138,6 +139,26 @@ def test_poly_binomial_degree():
 )
 def test_cycle_polynomials_frozen(lam, expected):
     assert cycle_polynomial(lam) == expected
+
+
+def test_scaled_cycle_polynomial_matches_binomial_product():
+    """The integer product equals z_lam prod_j binom(M_j, m_j), formed over Q."""
+    for n in range(1, 13):
+        for lam in partitions(n):
+            expected = RatPoly((centralizer_order(lam),))
+            for j, m in multiplicities(lam).items():
+                expected = expected * poly_binomial(necklace_polynomial(j), m)
+            scaled = scaled_cycle_polynomial(lam)
+            assert all(type(c) is int for c in scaled), lam
+            assert scaled == expected.coeffs, lam
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 7))
+def test_scaled_cycle_polynomial_rectangles(j, m):
+    """(j^m): binom(M_j, m) j^m m! is the integer factor prod_{i<m} (j M_j - i j)."""
+    factor = poly_binomial(necklace_polynomial(j), m) * (j**m * factorial(m))
+    assert scaled_cycle_polynomial((j,) * m) == factor.coeffs
 
 
 def test_cycle_polynomial_shape():

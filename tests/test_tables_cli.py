@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -274,11 +275,15 @@ def test_cli_verify_json():
         ("oracle", "--p", "2", "--n", "3", "--workers", "0"),
         ("oracle", "--p", "2", "--n", "3", "--workers", "-3"),
         ("oracle", "--p", "2", "--n", "3", "--workers", str((os.cpu_count() or 1) + 1)),
+        ("oracle", "--p", "2305843009213693951", "--n", "1"),
+        ("oracle", "--p", "3", "--n", "100000000"),
     ],
 )
 def test_cli_usage_errors_exit_two(args):
+    start = time.perf_counter()
     res = run_cli(*args)
     assert res.exit_code == 2, res.output
+    assert time.perf_counter() - start < 1, "refusal must come before the work"
 
 
 def test_cli_size_refusal_names_the_limit():
