@@ -58,8 +58,8 @@ from typing import Sequence
 import numpy as np
 
 from .measures import measure_value
-from .partitions import Partition, partitions
-from .ratpoly import cycle_polynomial, necklace_polynomial
+from .partitions import Partition, centralizer_order, partitions
+from .ratpoly import necklace_polynomial, scaled_cycle_polynomial
 
 PolyCoeffs = tuple[int, ...]
 
@@ -669,10 +669,15 @@ def census_vs_theory(
     expected_total = p**n - p ** (n - 1) if n >= 2 else p
     rows = []
     for lam in partitions(n):
-        predicted = cycle_polynomial(lam)(p)
-        if predicted.denominator != 1:
-            raise ArithmeticError(f"N_{lam}({p}) is not an integer: {predicted}")
-        predicted = int(predicted)
+        # z_lam N_lam(p) by Horner on the integer coefficients, top first
+        scaled = 0
+        for c in reversed(scaled_cycle_polynomial(lam)):
+            scaled = scaled * p + c
+        predicted, rem = divmod(scaled, centralizer_order(lam))
+        if rem:
+            raise ArithmeticError(
+                f"N_{lam}({p}) is not an integer: {scaled}/{centralizer_order(lam)}"
+            )
         count = tally.counts[lam]
         ok = count == predicted
         if n >= 2:

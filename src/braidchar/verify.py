@@ -1,9 +1,15 @@
 """Named verification suites bundling every invariant the library promises.
 
-Each suite is a list of checks; a check compares two independently computed
-quantities and, on failure, records the offending (n, k, partition) together
-with both values.  Suites are deterministic: the check list and its order
-depend only on the limits, never on timing or scheduling.
+Each check is a description plus a stream of cells ``(where, got, want)``,
+each comparing two independently computed quantities at one (n, k,
+partition) or similar.  One function, ``_compare``, consumes every stream:
+it counts the cells and records the first mismatches, naming the cell and
+both values.  A check that compared no cells (its range is empty under the
+limits) passes with status SKIP, never PASS.  Streams are generators that
+build each per-n object (a character, the regular character) once per n,
+binding it with ``for x in [...]`` where a generator expression needs it.
+Suites are deterministic: the check list and its order depend only on the
+limits, never on timing or scheduling.
 
 The default limits keep a full ``run_suite("all")`` under two minutes:
 polynomial/character identities up to n = 12, anything needing full
@@ -16,6 +22,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import factorial, prod
+from typing import Any, Iterable, Iterator
 
 from . import reference
 from .characters import (
@@ -41,19 +49,26 @@ SUITE_NAMES = (
     "regular-rep",
     "stability",
     "oracle",
+    "theorems",
     "all",
 )
 
 
 @dataclass(frozen=True)
 class Check:
+    """One check's outcome; cells is the number of cells it compared (None
+    when not counted), and a passing check with no cells is a SKIP."""
+
     description: str
     passed: bool
     details: str = ""
+    cells: int | None = None
 
     @property
     def status(self) -> str:
-        return "PASS" if self.passed else "FAIL"
+        if not self.passed:
+            return "FAIL"
+        return "SKIP" if self.cells == 0 else "PASS"
 
     def line(self) -> str:
         tail = f": {self.details}" if (self.details and not self.passed) else ""
@@ -76,9 +91,11 @@ class SuiteReport:
 
     def lines(self) -> list[str]:
         out = [c.line() for c in self.checks]
+        skipped = sum(c.status == "SKIP" for c in self.checks)
+        tally = f", {skipped} skipped" if skipped else ""
         verdict = "ok" if self.passed else f"{len(self.failures)} failed"
         out.append(
-            f"suite {self.suite}: {len(self.checks)} checks, "
+            f"suite {self.suite}: {len(self.checks)} checks{tally}, "
             f"{verdict} ({self.elapsed:.2f}s)"
         )
         return out
@@ -106,25 +123,45 @@ class VerifyLimits:
         )
 
 
-def _check(description: str, failures: list[str]) -> Check:
-    if failures:
-        shown = "; ".join(failures[:3])
-        if len(failures) > 3:
-            shown += f"; and {len(failures) - 3} more"
-        return Check(description, False, shown)
-    return Check(description, True)
+Cell = tuple[Any, Any, Any]  # (where, got, want)
+
+
+def _compare(description: str, cells: Iterable[Cell]) -> Check:
+    """Compare every (where, got, want) cell; "{cells}" in the description
+    becomes the number of cells compared."""
+    count = 0
+    bad: list[str] = []
+    for where, got, want in cells:
+        count += 1
+        if got != want:
+            bad.append(f"{_label(where)} expected {want} got {got}")
+    description = description.replace("{cells}", str(count))
+    if not bad:
+        return Check(description, True, cells=count)
+    shown = "; ".join(bad[:3])
+    if len(bad) > 3:
+        shown += f"; and {len(bad) - 3} more"
+    return Check(description, False, shown, count)
+
+
+def _label(where) -> str:
+    """A cell's label.  Cells at (n, lambda) or (n, k, lambda) carry that
+    tuple, so the label is only formatted for a mismatch."""
+    if isinstance(where, str):
+        return where
+    *nk, lam = where
+    head = "".join(f"{name}={v}, " for name, v in zip(("n", "k"), nk))
+    return f"({head}lambda={format_partition(lam)})"
 
 
 # ---------------------------------------------------------------------------
 # tables: every frozen reference row against fresh computation
 
 
-def _suite_tables(limits: VerifyLimits) -> list[Check]:
-    checks: list[Check] = []
-
+def _suite_tables(limits: VerifyLimits) -> Iterator[Check]:
     for n, rows in sorted(reference.MEASURE_ROWS.items()):
-        bad: list[str] = []
-        computed = {
+        want = {lam: (size, z_order, tuple(alpha)) for lam, size, z_order, alpha in rows}
+        got = {
             lam: (
                 class_data(lam).class_size,
                 class_data(lam).centralizer_order,
@@ -132,146 +169,48 @@ def _suite_tables(limits: VerifyLimits) -> list[Check]:
             )
             for lam in partitions(n)
         }
-        for lam, c_size, z_order, scaled in rows:
-            got = computed.pop(lam, None)
-            if got != (c_size, z_order, tuple(scaled)):
-                bad.append(
-                    f"lambda={format_partition(lam)} expected "
-                    f"{(c_size, z_order, tuple(scaled))} got {got}"
-                )
-        if computed:
-            bad.append(f"extra partitions {sorted(computed)}")
-        checks.append(_check(f"splitting measure table n={n}", bad))
+        yield _compare(
+            f"splitting measure table n={n}",
+            (((n, lam), got.get(lam), want.get(lam)) for lam in {**want, **got}),
+        )
 
     top = min(limits.max_n_class, max(reference.BETTI_TRIANGLE))
-    bad = []
-    for n in range(1, top + 1):
-        expected = reference.BETTI_TRIANGLE[n]
-        for k, want in enumerate(expected):
-            got = braid_character(n, k)((1,) * n) if k <= n else 0
-            if got != want:
-                bad.append(f"(n={n}, k={k}) expected {want} got {got}")
-    checks.append(_check(f"cohomology dimension triangle n<={top}", bad))
-
-    bad = []
-    for n in range(1, top + 1):
-        expected = reference.A_DIM_TRIANGLE[n]
-        for k, want in enumerate(expected):
-            got = a_character(n, k)((1,) * n) if k <= n - 1 else 0
-            if got != want:
-                bad.append(f"(n={n}, k={k}) expected {want} got {got}")
-    checks.append(_check(f"graded piece dimension triangle n<={top}", bad))
-
-    bad = []
-    for n in range(2, limits.max_n_class + 1):
-        for which, fn, expected in (
-            ("h", braid_character, reference.h1_decomposition(n)),
-            ("chi", a_character, reference.a1_decomposition(n)),
-        ):
-            got = decompose(fn(n, 1)).as_dict()
-            if got != expected:
-                bad.append(
-                    f"(n={n}, k=1, {which}) expected {expected} got {got}"
-                )
-    checks.append(
-        _check(f"k=1 decomposition table n<={limits.max_n_class}", bad)
+    yield _compare(
+        f"cohomology dimension triangle n<={top}",
+        ((f"(n={n}, k={k})", braid_character(n, k)((1,) * n) if k <= n else 0, want)
+         for n in range(1, top + 1)
+         for k, want in enumerate(reference.BETTI_TRIANGLE[n])),
+    )
+    yield _compare(
+        f"graded piece dimension triangle n<={top}",
+        ((f"(n={n}, k={k})", a_character(n, k)((1,) * n) if k <= n - 1 else 0, want)
+         for n in range(1, top + 1)
+         for k, want in enumerate(reference.A_DIM_TRIANGLE[n])),
     )
 
-    bad = []
-    for n in range(3, limits.max_n_class + 1):
-        expected = reference.a2_decomposition(n)
-        got = decompose(a_character(n, 2)).as_dict()
-        if got != expected:
-            bad.append(f"(n={n}, k=2) expected {expected} got {got}")
-    checks.append(
-        _check(f"k=2 decomposition table n<={limits.max_n_class}", bad)
+    top = limits.max_n_class
+    yield _compare(
+        f"k=1 decomposition table n<={top}",
+        ((f"(n={n}, k=1, {which})", decompose(fn(n, 1)).as_dict(), want)
+         for n in range(2, top + 1)
+         for which, fn, want in (
+             ("h", braid_character, reference.h1_decomposition(n)),
+             ("chi", a_character, reference.a1_decomposition(n)),
+         )),
     )
-
-    return checks
+    yield _compare(
+        f"k=2 decomposition table n<={top}",
+        ((f"(n={n}, k=2)", decompose(a_character(n, 2)).as_dict(),
+          reference.a2_decomposition(n))
+         for n in range(3, top + 1)),
+    )
 
 
 # ---------------------------------------------------------------------------
 # identities: polynomial and character identities with no table to cite
 
 
-def _suite_identities(limits: VerifyLimits) -> list[Check]:
-    checks: list[Check] = []
-    max_n = limits.max_n
-
-    bad = []
-    for j in range(1, max_n + 1):
-        total = RatPoly([0])
-        for d in divisors(j):
-            total = total + d * necklace_polynomial(d)
-        if total != Z**j:
-            bad.append(f"j={j} got {total}")
-    checks.append(_check(f"necklace inversion sum_d d*M_d = z^j, j<={max_n}", bad))
-
-    bad = []
-    for n in range(2, max_n + 1):
-        total = RatPoly([0])
-        for lam in partitions(n):
-            total = total + cycle_polynomial(lam)
-        if total != Z**n - Z ** (n - 1):
-            bad.append(f"n={n} got {total}")
-    checks.append(
-        _check(f"cycle polynomial sum = z^n - z^(n-1), 2<=n<={max_n}", bad)
-    )
-
-    bad = []
-    for n in range(1, max_n + 1):
-        for lam in partitions(n):
-            if braid_character(n, 0)(lam) != 1 or braid_character(n, n)(lam) != 0:
-                bad.append(f"(n={n}, lambda={format_partition(lam)})")
-            if n >= 2 and a_character(n, n - 1)(lam) != 0:
-                bad.append(f"(n={n}, k={n-1}, lambda={format_partition(lam)})")
-    checks.append(_check(f"edge characters k=0, k=n, k=n-1, n<={max_n}", bad))
-
-    bad = []
-    for n in range(1, max_n + 1):
-        for k in range(1, n):
-            h = braid_character(n, k)
-            lo = a_character(n, k - 1)
-            hi = a_character(n, k)
-            for lam in partitions(n):
-                if h(lam) != lo(lam) + hi(lam):
-                    bad.append(
-                        f"(n={n}, k={k}, lambda={format_partition(lam)}) "
-                        f"h={h(lam)} vs {lo(lam)}+{hi(lam)}"
-                    )
-    checks.append(_check(f"telescoping h = chi_(k-1) + chi_k, n<={max_n}", bad))
-
-    bad = []
-    for n in range(2, max_n + 1):
-        for lam in partitions(n):
-            z_order = class_data(lam).centralizer_order
-            alpha = splitting_coefficients(lam).alpha
-            for k in range(n):
-                want = Fraction((-1) ** k * a_character(n, k)(lam), z_order)
-                if alpha[k] != want:
-                    bad.append(
-                        f"(n={n}, k={k}, lambda={format_partition(lam)}) "
-                        f"alpha={alpha[k]} vs {want}"
-                    )
-    checks.append(
-        _check(f"coefficient identity alpha_k = (-1)^k chi_k / z, n<={max_n}", bad)
-    )
-
-    bad = []
-    for n in range(2, max_n + 1):
-        sums = [Fraction(0)] * n
-        for lam in partitions(n):
-            for k, a in enumerate(splitting_coefficients(lam).alpha):
-                sums[k] += a
-        want = [Fraction(1)] + [Fraction(0)] * (n - 1)
-        if sums != want:
-            bad.append(f"n={n} column sums {sums}")
-    checks.append(
-        _check(f"measure normalization: alpha columns sum to (1,0,..), n<={max_n}", bad)
-    )
-
-    bad = []
-    covered = 0
+def _closed_form_cells(max_n: int) -> Iterator[Cell]:
     for n in range(1, max_n + 1):
         for k in range(n + 1):
             h = braid_character(n, k)
@@ -280,141 +219,124 @@ def _suite_identities(limits: VerifyLimits) -> list[Check]:
                     value = closed_form_check(n, k, lam)
                 except NoClosedFormError:
                     continue
-                covered += 1
-                if value != h(lam):
-                    bad.append(
-                        f"(n={n}, k={k}, lambda={format_partition(lam)}) "
-                        f"closed form {value} vs extraction {h(lam)}"
-                    )
-    checks.append(
-        _check(
-            f"closed forms agree with extraction on {covered} covered "
-            f"(n,k,lambda), n<={max_n}",
-            bad,
-        )
-    )
+                yield (n, k, lam), value, h(lam)
 
-    bad = []
-    for n in range(2, limits.max_n_class + 1):
-        for m in (1, 2, 3):
-            dim = b_character(n, m)((1,) * n)
-            prod = 1
-            for j in range(2, n):
-                prod *= 1 + j * m
-            if dim != prod:
-                bad.append(f"(n={n}, m={m}) dim {dim} vs product {prod}")
-            plus, minus = b_character_signed(n, m)
-            anti = 1
-            for j in range(2, n):
-                anti *= 1 - j * m
-            d_plus, d_minus = plus((1,) * n), minus((1,) * n)
-            if (d_plus, d_minus) != (
-                Fraction(prod + anti, 2),
-                Fraction(prod - anti, 2),
-            ):
-                bad.append(
-                    f"(n={n}, m={m}) signed dims ({d_plus}, {d_minus}) "
-                    f"vs halves of {prod}+-{anti}"
-                )
-    checks.append(
-        _check(
-            f"graded dimension products and signed splits, n<={limits.max_n_class}",
-            bad,
-        )
-    )
 
-    return checks
+def _suite_identities(limits: VerifyLimits) -> Iterator[Check]:
+    max_n, top = limits.max_n, limits.max_n_class
+    zero = RatPoly([0])
+    yield _compare(
+        f"necklace inversion sum_d d*M_d = z^j, j<={max_n}",
+        ((f"j={j}", sum((d * necklace_polynomial(d) for d in divisors(j)), zero), Z**j)
+         for j in range(1, max_n + 1)),
+    )
+    yield _compare(
+        f"cycle polynomial sum = z^n - z^(n-1), 2<=n<={max_n}",
+        ((f"n={n}", sum(map(cycle_polynomial, partitions(n)), zero), Z**n - Z**(n - 1))
+         for n in range(2, max_n + 1)),
+    )
+    yield _compare(
+        f"edge characters k=0, k=n, k=n-1, n<={max_n}",
+        (((n, lam),
+          (braid_character(n, 0)(lam), braid_character(n, n)(lam),
+           a_character(n, n - 1)(lam) if n >= 2 else 0),
+          (1, 0, 0))
+         for n in range(1, max_n + 1) for lam in partitions(n)),
+    )
+    yield _compare(
+        f"telescoping h = chi_(k-1) + chi_k, n<={max_n}",
+        (((n, k, lam), h(lam), lo(lam) + hi(lam))
+         for n in range(1, max_n + 1) for k in range(1, n)
+         for h, lo, hi in [
+             (braid_character(n, k), a_character(n, k - 1), a_character(n, k))
+         ]
+         for lam in partitions(n)),
+    )
+    yield _compare(
+        f"coefficient identity alpha_k = (-1)^k chi_k / z, n<={max_n}",
+        (((n, k, lam), alpha, Fraction((-1) ** k * a_character(n, k)(lam), z_order))
+         for n in range(2, max_n + 1) for lam in partitions(n)
+         for z_order in [class_data(lam).centralizer_order]
+         for k, alpha in enumerate(splitting_coefficients(lam).alpha)),
+    )
+    yield _compare(
+        f"measure normalization: alpha columns sum to (1,0,..), n<={max_n}",
+        ((f"n={n} column sums",
+          [sum(column) for column in zip(*(
+              splitting_coefficients(lam).alpha for lam in partitions(n)))],
+          [Fraction(1)] + [Fraction(0)] * (n - 1))
+         for n in range(2, max_n + 1)),
+    )
+    yield _compare(
+        "closed forms agree with extraction on {cells} covered "
+        f"(n,k,lambda), n<={max_n}",
+        _closed_form_cells(max_n),
+    )
+    yield _compare(
+        f"graded dimension products and signed splits, n<={top}",
+        ((f"(n={n}, m={m}) dims (B, B+, B-)",
+          (b_character(n, m).dimension,
+           *(f.dimension for f in b_character_signed(n, m))),
+          (full, Fraction(full + anti, 2), Fraction(full - anti, 2)))
+         for n in range(2, top + 1) for m in (1, 2, 3)
+         for full, anti in [(prod(1 + j * m for j in range(2, n)),
+                             prod(1 - j * m for j in range(2, n)))]),
+    )
 
 
 # ---------------------------------------------------------------------------
 # support: vanishing conditions on h_n^k
 
 
-def _suite_support(limits: VerifyLimits) -> list[Check]:
+def _suite_support(limits: VerifyLimits) -> Iterator[Check]:
     max_n = limits.max_n
-    small_part: list[str] = []
-    distinct: list[str] = []
-    for n in range(1, max_n + 1):
-        for k in range(n + 1):
-            h = braid_character(n, k)
-            for lam in partitions(n):
-                if k >= 1 and min(lam) > 2 * k and h(lam) != 0:
-                    small_part.append(
-                        f"(n={n}, k={k}, lambda={format_partition(lam)}) "
-                        f"value {h(lam)}"
-                    )
-                if len(set(lam)) > n - k and h(lam) != 0:
-                    distinct.append(
-                        f"(n={n}, k={k}, lambda={format_partition(lam)}) "
-                        f"value {h(lam)}"
-                    )
-    return [
-        _check(
-            f"h vanishes when every part exceeds 2k (k>=1), n<={max_n}",
-            small_part,
-        ),
-        _check(
-            f"h at degree n-k vanishes beyond k distinct part sizes, n<={max_n}",
-            distinct,
-        ),
-    ]
+    for description, vanishes in (
+        ("h vanishes when every part exceeds 2k (k>=1)",
+         lambda n, k, lam: k >= 1 and min(lam) > 2 * k),
+        ("h at degree n-k vanishes beyond k distinct part sizes",
+         lambda n, k, lam: len(set(lam)) > n - k),
+    ):
+        yield _compare(
+            f"{description}, n<={max_n}",
+            (((n, k, lam), braid_character(n, k)(lam), 0)
+             for n in range(1, max_n + 1) for k in range(n + 1)
+             for lam in partitions(n) if vanishes(n, k, lam)),
+        )
 
 
 # ---------------------------------------------------------------------------
 # regular-rep: the sign-twisted sum and its measure reformulations
 
 
-def _suite_regular(limits: VerifyLimits) -> list[Check]:
-    checks: list[Check] = []
+def _special(n: int) -> set:
+    """The identity and transposition classes of S_n."""
+    return {(1,) * n, (2,) + (1,) * (n - 2)}
+
+
+def _suite_regular(limits: VerifyLimits) -> Iterator[Check]:
     top = limits.max_n_class
-
-    bad = []
-    for n in range(2, top + 1):
-        twisted = sign_twisted_sum(n)
-        regular = ClassFunction.regular(n)
-        for lam in partitions(n):
-            if twisted(lam) != regular(lam):
-                bad.append(
-                    f"(n={n}, lambda={format_partition(lam)}) "
-                    f"{twisted(lam)} vs {regular(lam)}"
-                )
-    checks.append(_check(f"sign-twisted sum equals regular character, n<={top}", bad))
-
-    bad = []
-    for n in range(2, top + 1):
-        special = {(1,) * n, (2,) + (1,) * (n - 2)}
-        for lam in partitions(n):
-            value = measure_value(lam, Fraction(-1))
-            want = Fraction(1, 2) if lam in special else Fraction(0)
-            if value != want:
-                bad.append(
-                    f"(n={n}, lambda={format_partition(lam)}) "
-                    f"measure {value} vs {want}"
-                )
-    checks.append(
-        _check(f"measure at z=-1 is 1/2 on identity and transpositions, n<={top}", bad)
+    yield _compare(
+        f"sign-twisted sum equals regular character, n<={top}",
+        (((n, lam), twisted(lam), regular(lam))
+         for n in range(2, top + 1)
+         for twisted, regular in [(sign_twisted_sum(n), ClassFunction.regular(n))]
+         for lam in partitions(n)),
     )
-
-    bad = []
-    for n in range(2, top + 1):
-        special = {(1,) * n, (2,) + (1,) * (n - 2)}
-        for lam in partitions(n):
-            theta = sum(braid_character(n, k)(lam) for k in range(n + 1))
-            want = class_data(lam).centralizer_order if lam in special else 0
-            if theta != want:
-                bad.append(
-                    f"(n={n}, lambda={format_partition(lam)}) "
-                    f"theta {theta} vs {want}"
-                )
-    checks.append(
-        _check(
-            f"unsigned sum supported on identity and transpositions "
-            f"with value z, n<={top}",
-            bad,
-        )
+    yield _compare(
+        f"measure at z=-1 is 1/2 on identity and transpositions, n<={top}",
+        (((n, lam), measure_value(lam, Fraction(-1)),
+          Fraction(1, 2) if lam in special else Fraction(0))
+         for n in range(2, top + 1) for special in [_special(n)]
+         for lam in partitions(n)),
     )
-
-    return checks
+    yield _compare(
+        f"unsigned sum supported on identity and transpositions "
+        f"with value z, n<={top}",
+        (((n, lam), sum(braid_character(n, k)(lam) for k in range(n + 1)),
+          class_data(lam).centralizer_order if lam in special else 0)
+         for n in range(2, top + 1) for special in [_special(n)]
+         for lam in partitions(n)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -425,31 +347,21 @@ def _tails(n: int, k: int) -> dict:
     return decompose(a_character(n, k)).tail_multiset()
 
 
-def _suite_stability(limits: VerifyLimits) -> list[Check]:
-    checks: list[Check] = []
+def _suite_stability(limits: VerifyLimits) -> Iterator[Check]:
     top = limits.max_n_class
-
-    stable1 = _tails(4, 1)
-    bad = [
-        f"n={n} tails {_tails(n, 1)} vs {stable1}"
-        for n in range(4, top + 1)
-        if _tails(n, 1) != stable1
-    ]
-    checks.append(_check(f"k=1 label tails constant for 4<=n<={top}", bad))
-    bad = [] if _tails(3, 1) != stable1 else [f"n=3 tails equal {stable1}"]
-    checks.append(_check("k=1 label tails deviate at n=3", bad))
-
-    stable2 = _tails(7, 2)
-    bad = [
-        f"n={n} tails {_tails(n, 2)} vs {stable2}"
-        for n in range(7, top + 1)
-        if _tails(n, 2) != stable2
-    ]
-    checks.append(_check(f"k=2 label tails constant for 7<=n<={top}", bad))
-    bad = [] if _tails(6, 2) != stable2 else [f"n=6 tails equal {stable2}"]
-    checks.append(_check("k=2 label tails deviate at n=6", bad))
-
-    return checks
+    for k, start in ((1, 4), (2, 7)):
+        # tails are stable from `start` on and differ one step below it;
+        # nothing above the cap is decomposed
+        stable = _tails(start, k) if start <= top else None
+        yield _compare(
+            f"k={k} label tails constant for {start}<=n<={top}",
+            ((f"n={n} tails", _tails(n, k), stable) for n in range(start, top + 1)),
+        )
+        yield _compare(
+            f"k={k} label tails deviate at n={start - 1}",
+            [(f"n={start - 1} tails equal those at n={start} ({stable})",
+              _tails(start - 1, k) == stable, False)] if start <= top else [],
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -467,25 +379,67 @@ def _oracle_grid(limits: VerifyLimits) -> list[tuple[int, int]]:
     return grid
 
 
-def _suite_oracle(limits: VerifyLimits) -> list[Check]:
-    checks = []
+def _suite_oracle(limits: VerifyLimits) -> Iterator[Check]:
     for p, n in _oracle_grid(limits):
         report = census_vs_theory(
             p, n, budget=limits.oracle_limit, workers=limits.workers
         )
-        bad = [
-            f"lambda={format_partition(r.partition)} count {r.count} "
-            f"vs predicted {r.predicted}"
-            for r in report.rows
-            if not r.ok
-        ]
-        if report.total_squarefree != report.expected_total:
-            bad.append(
-                f"square-free total {report.total_squarefree} "
-                f"vs {report.expected_total}"
-            )
-        checks.append(_check(f"census over F_{p} degree {n}", bad))
-    return checks
+        # a row's ok also holds the measure route's count, so both routes
+        # are compared: (count, ok) against (predicted, True)
+        cells = [((n, r.partition), (r.count, r.ok), (r.predicted, True))
+                 for r in report.rows]
+        cells.append(
+            ("square-free total", report.total_squarefree, report.expected_total)
+        )
+        yield _compare(f"census over F_{p} degree {n}", cells)
+
+
+# ---------------------------------------------------------------------------
+# theorems: rescaled splitting measures at z = -1/m and 1/m are (virtual)
+# characters of S_n
+
+
+def _decomposes(f: ClassFunction, virtual: bool) -> str:
+    """"ok" when f decomposes into irreducibles, else the reason it does not."""
+    try:
+        decompose(f, virtual=virtual)
+    except ArithmeticError as exc:
+        return str(exc)
+    return "ok"
+
+
+def _rescaled_measure(n: int, z: Fraction) -> ClassFunction:
+    """lam -> n! times the measure of one permutation of cycle type lam."""
+    return ClassFunction.from_rule(
+        n, lambda lam: factorial(n) * measure_value(lam, z, per_element=True)
+    )
+
+
+def _values(f: ClassFunction) -> str:
+    """f's values, classes in the order of ``partitions(n)``, as exact text."""
+    return "[" + ", ".join(str(f.values[lam]) for lam in partitions(f.n)) + "]"
+
+
+def _b_difference(n: int, m: int) -> ClassFunction:
+    plus, minus = b_character_signed(n, m)
+    return plus - minus
+
+
+def _suite_theorems(limits: VerifyLimits) -> Iterator[Check]:
+    top = limits.max_n_class
+    for sign, target, name in (
+        (-1, b_character, "the character of B_(n,m)"),
+        (1, _b_difference, "the virtual character B+ - B-"),
+    ):
+        virtual = sign > 0
+        yield _compare(
+            f"n!*nu at z={'-' if sign < 0 else ''}1/m is {name}, "
+            f"2<=n<={top}, m<=3",
+            ((f"(n={n}, m={m})", (_values(f), _decomposes(f, virtual)),
+              (_values(target(n, m)), "ok"))
+             for n in range(2, top + 1) for m in (1, 2, 3)
+             for f in [_rescaled_measure(n, Fraction(sign, m))]),
+        )
 
 
 _SUITES = {
@@ -495,6 +449,7 @@ _SUITES = {
     "regular-rep": _suite_regular,
     "stability": _suite_stability,
     "oracle": _suite_oracle,
+    "theorems": _suite_theorems,
 }
 
 
@@ -510,12 +465,11 @@ def run_suite(name: str, limits: VerifyLimits | None = None) -> SuiteReport:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
     start = time.perf_counter()
     if name == "all":
-        checks = []
-        for sub in SUITE_NAMES[:-1]:
-            checks.extend(
-                Check(f"{sub}: {c.description}", c.passed, c.details)
-                for c in _SUITES[sub](limits)
-            )
+        checks = [
+            replace(c, description=f"{sub}: {c.description}")
+            for sub in SUITE_NAMES[:-1]
+            for c in _SUITES[sub](limits)
+        ]
     else:
-        checks = _SUITES[name](limits)
+        checks = list(_SUITES[name](limits))
     return SuiteReport(name, tuple(checks), time.perf_counter() - start)

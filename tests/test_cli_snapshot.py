@@ -4,8 +4,10 @@ Each example in the README's ``sh`` block (except ``verify all``, which the
 acceptance tests cover) runs in text, csv and json; the exit code and the
 sha256 of stdout must match the digests below.  They pin outputs the
 benchmark goldens do not, such as ``oracle`` text and csv, ``cycle-poly
---z``, ``measure --z`` and ``decompose`` text.  Re-record a digest only for
-a deliberate change of output.
+--z``, ``measure --z`` and ``decompose`` text.  ``verify <suite> --format
+json`` is pinned too, at default limits and at ``--max-n 5``, with its
+``elapsed`` line left out.  Re-record a digest only for a deliberate change
+of output.
 """
 
 import hashlib
@@ -105,3 +107,35 @@ def test_readme_command_output_bytes(args):
     res = CliRunner().invoke(main, list(args))
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == DIGESTS[" ".join(args)]
+
+
+VERIFY_DIGESTS = {
+    "verify tables --format json":
+        "5b00adc6be2548a2ae5c5ef3c609d520cb14156a064b659c87bb5c2a5ed79665",
+    "verify tables --max-n 5 --format json":
+        "ea0c3b80664fcec1314e5fb3593e91a74d05a7dd076ac5957c1eee19228cdc67",
+    "verify identities --format json":
+        "b1d777edb4f426be65dd35ff0bd696535b617524ad56fa9cdcf125617e19d1d4",
+    "verify identities --max-n 5 --format json":
+        "7c90524360eea2a7515ea7aeba64b87254ea4ccb7b28ed0f9d5406cc4385a61a",
+    "verify support --format json":
+        "a14e8d234278f3d8ff3d3f433a1797d4dc876e2af6b95c9c3ea6ea063d7a48d7",
+    "verify support --max-n 5 --format json":
+        "2195faa5c55f31a9946192f784a293e85b4ba9a9565adeebce8576da073353bd",
+    "verify regular-rep --format json":
+        "8c9201ee878c45bc11762fb0afb8c5ec8fa025ac1aff796d9f180c8128af2403",
+    "verify regular-rep --max-n 5 --format json":
+        "d2dbc08a845dc94f753ebe401cb83575e3fdfe48450f88c8afdd3551a26ed856",
+    "verify stability --format json":
+        "73b7fb05abd1a1d273db3efcb4cb96ad3a600658c6cce373932abbbdca8acda5",
+    "verify stability --max-n 5 --format json":
+        "125155881d591afc1380978c1f32ed8ac8568acbd104de79a33a957d083d3bb0",
+}
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_DIGESTS))
+def test_verify_json_bytes(command):
+    res = CliRunner().invoke(main, command.split())
+    assert res.exit_code == 0, res.output
+    stdout = re.sub(r'\n  "elapsed": [^\n]*', "", res.stdout)
+    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_DIGESTS[command]

@@ -1,12 +1,19 @@
 """Runtime verification suites."""
 
-import pytest
+from fractions import Fraction
 
+import pytest
+from click.testing import CliRunner
+
+from braidchar import reference, verify
+from braidchar.characters import braid_character
+from braidchar.cli import main
 from braidchar.verify import (
     SUITE_NAMES,
     Check,
     SuiteReport,
     VerifyLimits,
+    _compare,
     run_suite,
 )
 
@@ -82,3 +89,153 @@ def test_report_summary_line():
     assert lines[0] == "PASS a"
     assert lines[1] == "FAIL b: boom"
     assert "demo" in lines[-1] and "2 checks" in lines[-1] and "1 failed" in lines[-1]
+
+
+def test_report_summary_counts_skipped_checks():
+    report = SuiteReport("demo", (Check("a", True, cells=3), Check("b", True, cells=0)), 0.5)
+    assert report.passed
+    assert report.lines() == ["PASS a", "SKIP b", "suite demo: 2 checks, 1 skipped, ok (0.50s)"]
+
+
+# ---------------------------------------------------------------------------
+# _compare: the one comparator every check goes through
+
+
+def test_compare_counts_cells_and_names_mismatches():
+    cells = [("a", 1, 1)] + [(f"x{i}", i, 0) for i in range(1, 6)]
+    check = _compare("demo over {cells} cells", cells)
+    assert (check.description, check.cells, check.status) == ("demo over 6 cells", 6, "FAIL")
+    assert check.details == (
+        "x1 expected 0 got 1; x2 expected 0 got 2; x3 expected 0 got 3; and 2 more"
+    )
+    labelled = _compare("demo", iter([((4, 2, (2, 1, 1)), 5, 6), ((3, (3,)), 0, 1)]))
+    assert labelled.details == (
+        "(n=4, k=2, lambda=2,1,1) expected 6 got 5; (n=3, lambda=3) expected 1 got 0"
+    )
+
+
+def test_compare_without_cells_is_skip():
+    empty = _compare("empty", [])
+    assert (empty.passed, empty.cells, empty.status, empty.details) == (True, 0, "SKIP", "")
+    assert empty.line() == "SKIP empty"
+    assert _compare("one", [("a", 1, 1)]).line() == "PASS one"
+
+
+def test_checks_that_compare_nothing_are_skipped():
+    report = run_suite("all", VerifyLimits().capped(1))
+    assert report.passed
+    for c in report.checks:
+        assert c.cells is not None, c.description
+        assert c.status == ("SKIP" if c.cells == 0 else "PASS"), c.description
+    assert sum(c.status == "SKIP" for c in report.checks) == 17
+    assert f"{len(report.checks)} checks, 17 skipped, ok" in report.lines()[-1]
+
+
+@pytest.mark.parametrize("name", [s for s in SUITE_NAMES if s not in ("oracle", "all")])
+def test_no_check_is_skipped_at_default_limits(name):
+    report = run_suite(name)
+    assert report.passed
+    assert all(c.cells > 0 for c in report.checks)
+    assert "skipped" not in report.lines()[-1]
+
+
+def test_cli_verify_prints_skip_and_exits_zero():
+    res = CliRunner().invoke(main, ["verify", "all", "--max-n", "1"])
+    assert res.exit_code == 0, res.output
+    lines = res.output.splitlines()
+    assert "SKIP stability: k=2 label tails deviate at n=6" in lines
+    assert "PASS oracle: census over F_2 degree 1" in lines
+    assert "FAIL" not in res.output
+    assert ", 17 skipped, ok (" in lines[-1]
+
+
+def test_stability_decomposes_nothing_above_the_cap(monkeypatch):
+    seen = []
+    tails = verify._tails
+    monkeypatch.setattr(verify, "_tails", lambda n, k: seen.append(n) or tails(n, k))
+    for cap, statuses in (
+        (1, ["SKIP"] * 4),
+        (3, ["SKIP"] * 4),
+        (5, ["PASS", "PASS", "SKIP", "SKIP"]),
+        (6, ["PASS", "PASS", "SKIP", "SKIP"]),
+        (7, ["PASS"] * 4),
+    ):
+        seen.clear()
+        report = run_suite("stability", VerifyLimits().capped(cap))
+        assert [c.status for c in report.checks] == statuses
+        assert max(seen, default=0) <= cap
+
+
+def test_closed_form_description_carries_its_cell_count():
+    [check] = [
+        c for c in run_suite("identities", SMALL).checks if c.description.startswith("closed")
+    ]
+    assert check.description == (
+        f"closed forms agree with extraction on {check.cells} covered (n,k,lambda), n<=7"
+    )
+    assert check.cells > 0
+
+
+# ---------------------------------------------------------------------------
+# a suite can fail: one wrong value makes its check FAIL, naming the cell
+
+
+def test_tables_suite_fails_on_a_wrong_reference_value(monkeypatch):
+    row = list(reference.BETTI_TRIANGLE[4])
+    row[2] += 1
+    monkeypatch.setitem(reference.BETTI_TRIANGLE, 4, tuple(row))
+    report = run_suite("tables", SMALL)
+    [bad] = report.failures
+    assert bad.status == "FAIL"
+    assert bad.description == "cohomology dimension triangle n<=6"
+    assert bad.details == "(n=4, k=2) expected 12 got 11"
+    res = CliRunner().invoke(main, ["verify", "tables", "--max-n", "6"])
+    assert res.exit_code == 1
+    assert "FAIL cohomology dimension triangle n<=6: (n=4, k=2) expected 12 got 11" in (
+        res.output.splitlines()
+    )
+    assert "1 failed" in res.output.splitlines()[-1]
+
+
+def test_identities_suite_fails_on_a_wrong_closed_form(monkeypatch):
+    real = verify.closed_form_check
+    monkeypatch.setattr(
+        verify,
+        "closed_form_check",
+        lambda n, k, lam: real(n, k, lam) + ((n, k, lam) == (4, 1, (3, 1))),
+    )
+    report = run_suite("identities", SMALL)
+    [bad] = report.failures
+    assert bad.description.startswith("closed forms agree with extraction")
+    h = braid_character(4, 1)((3, 1))
+    assert bad.details == f"(n=4, k=1, lambda=3,1) expected {h} got {h + 1}"
+
+
+def test_theorems_suite_fails_on_a_wrong_character(monkeypatch):
+    real = verify.b_character
+    monkeypatch.setattr(
+        verify, "b_character", lambda n, m: real(n, m) * (2 if (n, m) == (3, 2) else 1)
+    )
+    report = run_suite("theorems", SMALL)
+    [bad] = report.failures
+    assert bad.description.startswith("n!*nu at z=-1/m")
+    assert bad.details == "(n=3, m=2) expected ('[-2, 2, 10]', 'ok') got ('[-1, 1, 5]', 'ok')"
+
+
+def test_theorems_suite_reports_a_non_integral_multiplicity(monkeypatch):
+    real = verify.measure_value
+    monkeypatch.setattr(
+        verify,
+        "measure_value",
+        lambda lam, z, per_element: real(lam, z, per_element) + Fraction(1, 1000),
+    )
+    report = run_suite("theorems", SMALL)
+    assert [c.status for c in report.checks] == ["FAIL", "FAIL"]
+    assert "not an integer" in report.checks[1].details
+    assert "not a virtual character" in report.checks[1].details
+
+
+def test_theorems_suite_has_one_cell_per_n_and_m():
+    report = run_suite("theorems", SMALL)
+    assert report.passed
+    assert [c.cells for c in report.checks] == [15, 15]
