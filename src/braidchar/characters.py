@@ -59,7 +59,14 @@ class ClassFunction:
             raise ValueError(f"values must cover all partitions of {self.n}")
 
     def __call__(self, lam: Partition) -> Fraction:
-        return self.values[check_partition(lam)]
+        lam = check_partition(lam)
+        try:
+            return self.values[lam]
+        except KeyError:
+            raise ValueError(
+                f"class function on S_{self.n} evaluated at {lam}, "
+                f"a partition of {sum(lam)}, not of {self.n}"
+            ) from None
 
     @property
     def dimension(self) -> Fraction:

@@ -202,6 +202,16 @@ def is_squarefree(f: PolyCoeffs, p: int) -> bool:
     return poly_degree(poly_gcd(f, poly_derivative(f, p), p)) == 0
 
 
+def _check_irreducible_count(p: int, d: int, count: int) -> None:
+    """Raise RuntimeError unless count is the necklace value M_d(p)."""
+    expected = necklace_polynomial(d)(p)
+    if expected.denominator != 1 or count != expected:
+        raise RuntimeError(
+            f"irreducible count at degree {d} over F_{p} is {count}, "
+            f"expected M_{d}({p}) = {expected}"
+        )
+
+
 def enumerate_irreducibles(
     p: int, d_max: int, budget: int = DEFAULT_BUDGET
 ) -> dict[int, list[PolyCoeffs]]:
@@ -227,12 +237,7 @@ def enumerate_irreducibles(
             f = poly_from_code(code, d, p)
             if all(poly_divmod(f, g, p)[1] for g in testers):
                 found.append(f)
-        expected = necklace_polynomial(d)(p)
-        if expected.denominator != 1 or len(found) != expected:
-            raise RuntimeError(
-                f"irreducible count at degree {d} over F_{p} is {len(found)}, "
-                f"expected M_{d}({p}) = {expected}"
-            )
+        _check_irreducible_count(p, d, len(found))
         table[d] = found
     return table
 
@@ -458,13 +463,7 @@ def _factor_table(p: int, d: int) -> _FactorTable:
             sif_code[codes] = gc
             ftype[codes] = htype
             repeated[codes] = htable.repeated | (hfirst == gc)
-    count = size - np.count_nonzero(sif_deg)
-    expected = necklace_polynomial(d)(p)
-    if expected.denominator != 1 or count != expected:
-        raise RuntimeError(
-            f"irreducible count at degree {d} over F_{p} is {count}, "
-            f"expected M_{d}({p}) = {expected}"
-        )
+    _check_irreducible_count(p, d, size - np.count_nonzero(sif_deg))
     return _FactorTable(sif_deg, sif_code, ftype, repeated)
 
 

@@ -8,9 +8,10 @@ which turns out to be a polynomial in 1/z of degree < n:
 
     nu_{n,z}(C_lam) = sum_{k=0}^{n-1} alpha_k (1/z)^k.
 
-The alpha vector is obtained exactly by dividing the cycle polynomial
-N_lam(z) by (z - 1) (the division is exact because N_lam(1) = 0) and reading
-the quotient coefficients from the top down.  For n = 1 the measure is the
+The alpha vector is read from the integer polynomial z_lam N_lam(z) (see
+`ratpoly.scaled_cycle_polynomial`): its quotient by (z - 1), exact because
+N_lam(1) = 0, has integer coefficients, and alpha_k is the quotient
+coefficient of z^(n-1-k) divided by z_lam.  For n = 1 the measure is the
 constant 1.  At z = q >= 2 a prime power, nu is the probability that a random
 monic square-free polynomial of degree n over F_q has factorization type lam;
 at other rational z (z = -1, z = 1/q, ...) it is a signed "measure" with the
@@ -22,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from numbers import Rational
 
-from .partitions import Partition, check_partition, class_data
-from .ratpoly import cycle_polynomial
+from .partitions import Partition, centralizer_order, check_partition, class_data
+from .ratpoly import scaled_cycle_polynomial
 
 
 @dataclass(frozen=True)
@@ -74,32 +76,36 @@ class SplittingMeasure:
         return tuple(out)
 
 
-@cache
 def splitting_coefficients(lam: Partition) -> SplittingMeasure:
     """Exact alpha vector of the class measure of lam.
 
     >>> [str(a) for a in splitting_coefficients((2, 1, 1)).alpha]
     ['1/4', '-1/4', '0', '0']
     """
-    lam = check_partition(lam)
+    return _splitting_measure(check_partition(lam))
+
+
+@cache
+def _splitting_measure(lam: Partition) -> SplittingMeasure:
     n = sum(lam)
     if n == 0:
         raise ValueError("the empty partition has no splitting measure")
     if n == 1:
         return SplittingMeasure(1, lam, (Fraction(1),))
-    quot, rem = cycle_polynomial(lam).synthetic_div(1)
+    # N_lam / (z^n - z^(n-1)) = quot / (z_lam z^(n-1)), quot = z_lam N_lam / (z - 1).
+    # Dividing from the top, quot's coefficient of z^(n-1-k) is the sum of the
+    # k + 1 leading coefficients, and the sum of all of them is the remainder.
+    *quot, rem = accumulate(reversed(scaled_cycle_polynomial(lam)))
     if rem:
         raise ArithmeticError(
-            f"cycle polynomial of {lam} is not divisible by (z - 1): remainder {rem}"
+            f"z_lam * cycle polynomial of {lam} is not divisible by (z - 1): remainder {rem}"
         )
-    # N_lam / (z^n - z^(n-1)) = quot / z^(n-1), so alpha_k is the quotient
-    # coefficient of z^(n-1-k).
-    alpha = tuple(quot.coefficient(n - 1 - k) for k in range(n))
-    if alpha[n - 1] != 0:
+    if quot[n - 1]:
         raise ArithmeticError(
-            f"top coefficient alpha_{n-1} nonzero for {lam}: {alpha[n-1]}"
+            f"top coefficient z_lam * alpha_{n-1} nonzero for {lam}: {quot[n-1]}"
         )
-    return SplittingMeasure(n, lam, alpha)
+    z_lam = centralizer_order(lam)
+    return SplittingMeasure(n, lam, tuple(Fraction(q, z_lam) for q in quot))
 
 
 def measure_value(lam: Partition, z: Rational, per_element: bool = False) -> Fraction:
@@ -108,4 +114,4 @@ def measure_value(lam: Partition, z: Rational, per_element: bool = False) -> Fra
     >>> measure_value((2, 2), -1)
     Fraction(0, 1)
     """
-    return splitting_coefficients(check_partition(lam)).value(z, per_element)
+    return splitting_coefficients(lam).value(z, per_element)

@@ -15,8 +15,11 @@ The two polynomial families this package revolves around:
 
 As j M_j(z) has integer coefficients, z_lam N_lam(z) is an integer product,
 prod_j prod_{i < m_j} (j M_j(z) - i j), which `scaled_cycle_polynomial` forms
-in plain ints; `cycle_polynomial` divides it by z_lam once.  `poly_binomial`
-keeps the `Fraction` route as an independent reference.
+in plain ints, once per lam.  The characters h_n^k (`characters`), the
+splitting measures (`measures`) and the census predictions (`fforacle`) all
+read that integer polynomial.  `cycle_polynomial` is its public `Fraction`
+view, divided by z_lam once, and `poly_binomial` keeps the `Fraction` route
+as an independent reference.
 """
 
 from __future__ import annotations
@@ -27,7 +30,14 @@ from math import factorial
 from numbers import Rational
 from typing import Iterable, Sequence
 
-from .partitions import Partition, centralizer_order, divisors, moebius, multiplicities
+from .partitions import (
+    Partition,
+    centralizer_order,
+    check_partition,
+    divisors,
+    moebius,
+    multiplicities,
+)
 
 
 class RatPoly:
@@ -140,24 +150,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def synthetic_div(self, root: Rational) -> tuple["RatPoly", Fraction]:
-        """Quotient and remainder on division by (z - root).
-
-        Synthetic division: running down from the leading coefficient,
-        q_{k-1} = c_k + root * q_k, and the final fold-in is the remainder.
-        """
-        root = Fraction(root)
-        if not self._coeffs:
-            return RatPoly(), Fraction(0)
-        acc = Fraction(0)
-        folded: list[Fraction] = []
-        for c in reversed(self._coeffs):
-            acc = acc * root + c
-            folded.append(acc)
-        rem = folded.pop()
-        folded.reverse()
-        return RatPoly(folded), rem
-
     def to_strings(self) -> list[str]:
         """Coefficients as exact 'p/q' strings, constant term first."""
         return [str(c) for c in self._coeffs]
@@ -249,7 +241,6 @@ def scaled_cycle_polynomial(lam: Partition) -> tuple[int, ...]:
     return tuple(out)
 
 
-@cache
 def cycle_polynomial(lam: Partition) -> RatPoly:
     """N_lam(z) = prod_j binom(M_j(z), m_j), of degree |lam|.
 
@@ -259,4 +250,5 @@ def cycle_polynomial(lam: Partition) -> RatPoly:
     >>> print(cycle_polynomial((2, 1, 1)))
     1/4*z^4 - 1/2*z^3 + 1/4*z^2
     """
+    lam = check_partition(lam)
     return RatPoly(scaled_cycle_polynomial(lam)) / centralizer_order(lam)

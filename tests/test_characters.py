@@ -304,6 +304,8 @@ def test_class_function_errors():
         _ = f + g
     with pytest.raises(ValueError):
         inner_product(f, g)
+    with pytest.raises(ValueError, match=r"S_4 evaluated at \(2, 1\), a partition of 3"):
+        braid_character(4, 1)((2, 1))
 
 
 def test_regular_class_function():

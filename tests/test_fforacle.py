@@ -31,7 +31,7 @@ from braidchar.fforacle import (
     poly_trim,
 )
 from braidchar.partitions import partitions
-from braidchar.ratpoly import necklace_polynomial
+from braidchar.ratpoly import RatPoly, necklace_polynomial
 
 
 def test_is_prime():
@@ -185,6 +185,16 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
         factor_type_census(3, 8, engine="vector", workers=2)
     assert len(corrupted_in) == 1
     assert corrupted_in[0] is not threading.main_thread()
+
+
+def test_irreducible_counts_checked_by_both_engines(monkeypatch):
+    # a wrong M_d(p) must stop the scalar sieve and the vector factor table alike
+    monkeypatch.setattr(fforacle, "necklace_polynomial", lambda d: RatPoly((-1,)))
+    message = r"irreducible count at degree 1 over F_3 is 3, expected M_1\(3\) = -1"
+    with pytest.raises(RuntimeError, match=message):
+        enumerate_irreducibles(3, 2)
+    with pytest.raises(RuntimeError, match=message):
+        fforacle._factor_table.__wrapped__(3, 1)
 
 
 def test_census_vs_theory_reports():

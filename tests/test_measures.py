@@ -13,7 +13,7 @@ from braidchar.measures import (
     splitting_coefficients,
 )
 from braidchar.partitions import class_data, partitions
-from braidchar.ratpoly import cycle_polynomial
+from braidchar.ratpoly import RatPoly, Z, cycle_polynomial
 
 
 def test_degree_four_identity_row_frozen():
@@ -52,6 +52,16 @@ def test_last_coefficient_vanishes():
     for n in range(2, 13):
         for lam in partitions(n):
             assert splitting_coefficients(lam).alpha[-1] == 0
+
+
+def test_alpha_is_the_quotient_by_z_minus_one():
+    # (z - 1) * sum_k alpha_k z_lam z^(n-1-k) = z_lam N_lam, multiplied out in RatPoly
+    for n in range(2, 13):
+        for lam in partitions(n):
+            z_lam = class_data(lam).centralizer_order
+            alpha = splitting_coefficients(lam).alpha
+            quotient = RatPoly(a * z_lam for a in reversed(alpha))
+            assert (Z - 1) * quotient == cycle_polynomial(lam) * z_lam, lam
 
 
 def test_coefficient_columns_sum_to_delta():
@@ -100,6 +110,14 @@ def test_per_element_scaling():
         total = measure_value(lam, Fraction(3))
         per = measure_value(lam, Fraction(3), per_element=True)
         assert per * class_data(lam).class_size == total
+
+
+def test_partition_validated_before_the_cache():
+    assert splitting_coefficients([2, 1, 1]) == splitting_coefficients((2, 1, 1))
+    assert measure_value([2, 1, 1], 2) == measure_value((2, 1, 1), 2)
+    for bad in ((1, 2), (2, 0), ()):
+        with pytest.raises(ValueError):
+            splitting_coefficients(bad)
 
 
 def test_pole_at_zero_refused():

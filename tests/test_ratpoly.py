@@ -65,16 +65,6 @@ def test_pow():
         Z ** (-1)
 
 
-def test_synthetic_division_exact():
-    p = Z**3 - 6 * Z**2 + 11 * Z - 6  # roots 1, 2, 3
-    q, rem = p.synthetic_div(1)
-    assert rem == 0
-    assert q == Z**2 - 5 * Z + 6
-    q2, rem2 = p.synthetic_div(5)
-    assert rem2 == p(5)
-    assert q2 * (Z - 5) + rem2 == p
-
-
 @pytest.mark.parametrize(
     "j, expected",
     [
@@ -141,6 +131,12 @@ def test_cycle_polynomials_frozen(lam, expected):
     assert cycle_polynomial(lam) == expected
 
 
+def test_cycle_polynomial_validates_partition():
+    assert cycle_polynomial([2, 1, 1]) == cycle_polynomial((2, 1, 1))
+    with pytest.raises(ValueError, match="weakly decreasing"):
+        cycle_polynomial((1, 2))
+
+
 def test_scaled_cycle_polynomial_matches_binomial_product():
     """The integer product equals z_lam prod_j binom(M_j, m_j), formed over Q."""
     for n in range(1, 13):
@@ -198,13 +194,6 @@ def test_ring_axioms(a, b, c):
 def test_evaluation_is_a_homomorphism(a, b, x):
     assert (a * b)(x) == a(x) * b(x)
     assert (a + b)(x) == a(x) + b(x)
-
-
-@given(polys, small_fractions)
-def test_synthetic_division_reconstructs(p, root):
-    q, rem = p.synthetic_div(root)
-    assert q * (Z - root) + rem == p
-    assert rem == p(root)
 
 
 @given(polys)
