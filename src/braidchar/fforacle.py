@@ -30,14 +30,21 @@ exactly when the gcd is nonconstant) and the per-degree irreducible counts
 against the necklace polynomial values M_d(p), and raises if either check
 fails.
 
-Its batched gcd is Euclid on digit rows with the leading coefficient in
-column 0.  Every row moves by exactly one column per step, so a step is a
-few whole-array operations, with no per-row search for the leading term;
-a row leaves the working arrays as soon as its gcd degree is known.
-Over F_2 the rows are instead bit-packed into uint64 words, one polynomial
-per word, and each Euclid step is a shift and an XOR.  Coefficient arrays
-use the narrowest signed dtype that holds (p - 1)^2, so no product of two
-digits wraps for any p.
+Its batched gcd packs each polynomial into one uint64 word whenever the
+n + 1 coefficient lanes fit, after Boothby-Bradshaw 2009 ("Bitslicing and
+the Method of Four Russians over larger finite fields").  Over F_2 a lane
+is one bit and a Euclid step is a shift and an XOR.  Over odd p a lane is
+wide enough that a + k * (b << shift) carries out of no lane, and the
+lanes are reduced mod p by conditional subtractions of p 2^j tested on a
+spare top bit of each lane.  Degrees are exact, read from the bit length;
+swaps are XORs under a row mask; and a row leaves the working arrays as
+soon as its gcd degree is known.  Cells whose lanes do not fit a word
+(large p or large n) run Euclid on digit rows with the leading coefficient
+in column 0: every row moves by exactly one column per step, so a step is
+a few whole-array operations with no per-row search for the leading term.
+Digit arrays use the narrowest signed dtype that holds (p - 1)^2, so no
+product of two digits wraps for any p.  The tests hold the packed kernel
+to the digit rows and to scalar Euclid.
 
 The vectorized census runs its blocks on ``workers`` threads (by default
 the CPU count), which share one set of factor tables built before the
@@ -50,8 +57,9 @@ with the number of threads.  There are never more threads than blocks.
 from __future__ import annotations
 
 import os
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
 
@@ -66,6 +74,7 @@ PolyCoeffs = tuple[int, ...]
 DEFAULT_BUDGET = 10**7
 _SCALAR_CUTOFF = 16  # largest p^n at which the scalar engine was faster, cold process
 _BLOCK = 1 << 18
+_PIECE = 1 << 12  # largest digit-run table of the packed kernel
 
 
 class BudgetError(ValueError):
@@ -297,6 +306,14 @@ def factor_type(
 # --- census ----------------------------------------------------------------
 
 
+# The stages whose seconds a census records: the smallest-factor sieve (trial
+# division in the scalar engine), gcd(f, f'), and the cross-check and count.
+# The vector engine sums gcd and tally over its blocks, so with several
+# threads they can exceed the wall time.  Seconds and candidate counts are
+# left out of equality and repr: reports compare and print as before.
+_STAGES = ("sieve", "gcd", "tally")
+
+
 @dataclass(frozen=True)
 class FactorTypeTally:
     """Counts of square-free monic degree-n polynomials by factorization type."""
@@ -305,6 +322,7 @@ class FactorTypeTally:
     n: int
     counts: dict[Partition, int]
     total_squarefree: int
+    seconds: dict[str, float] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -322,6 +340,8 @@ class CensusReport:
     total_squarefree: int
     expected_total: int
     rows: tuple[CensusRow, ...]
+    candidates: int = field(compare=False, repr=False)
+    seconds: dict[str, float] = field(compare=False, repr=False)
 
     @property
     def all_ok(self) -> bool:
@@ -330,14 +350,21 @@ class CensusReport:
         )
 
 
-def _census_scalar(p: int, n: int, budget: int) -> dict[Partition, int]:
+def _census_scalar(
+    p: int, n: int, budget: int
+) -> tuple[dict[Partition, int], dict[str, float]]:
+    seconds = dict.fromkeys(_STAGES, 0.0)
+    start = time.perf_counter()
     irr = enumerate_irreducibles(p, n, budget=budget)
     counts: dict[Partition, int] = {}
     for code in range(p**n):
         f = poly_from_code(code, n, p)
         factors = factor_list(f, p, irr)
+        sieved = time.perf_counter()
+        gcd_squarefree = is_squarefree(f, p)
+        checked = time.perf_counter()
         squarefree = all(m == 1 for _, m in factors)
-        if is_squarefree(f, p) != squarefree:
+        if gcd_squarefree != squarefree:
             raise RuntimeError(
                 f"gcd square-freeness disagrees with factorization for {f} over F_{p}"
             )
@@ -346,7 +373,12 @@ def _census_scalar(p: int, n: int, budget: int) -> dict[Partition, int]:
                 sorted((poly_degree(g) for g, _ in factors), reverse=True)
             )
             counts[typ] = counts.get(typ, 0) + 1
-    return counts
+        end = time.perf_counter()
+        seconds["sieve"] += sieved - start
+        seconds["gcd"] += checked - sieved
+        seconds["tally"] += end - checked
+        start = end
+    return counts, seconds
 
 
 # Vectorized engine.  Degree-d tables: for every monic degree-d code, the
@@ -534,41 +566,189 @@ def _batched_gcd_degree(full: np.ndarray, deriv: np.ndarray, p: int) -> np.ndarr
     raise RuntimeError("batched gcd failed to converge")
 
 
-def _packed_gcd_degree_f2(n: int, codes: np.ndarray) -> np.ndarray:
-    """Degree of gcd(f, f') per monic degree-n code over F_2, bit-packed.
+# Packed kernel.  Each polynomial is one uint64 whose lane i, _lane_width(p)
+# bits wide, holds the coefficient of x^i.
 
-    Bit i of a uint64 is the coefficient of x^i, so f = code | 1 << n and
-    f' = (f >> 1) & 0x5555...: over F_2 only the odd powers of f survive
-    differentiation.  Each Euclid step swaps the rows with da < db and XORs
-    b << (da - db) into a.  Degrees are exact, taken by bit length, and
-    rows leave as in ``_batched_gcd_degree`` (da = -1 means a = 0).
+
+def _lane_width(p: int) -> int:
+    """Bits per lane of the packed gcd kernel.
+
+    Over F_2 a lane is one bit.  Over odd p it holds a + k * b <= p (p - 1)
+    for coefficients a, b and a multiplier k below p, plus a spare top bit
+    on which the reduction mod p tests.
     """
-    a = codes.astype(np.uint64) | np.uint64(1 << n)
-    b = (a >> np.uint64(1)) & np.uint64(0x5555_5555_5555_5555)
+    return 1 if p == 2 else (p * (p - 1)).bit_length() + 1
+
+
+def _fits_word(p: int, n: int) -> bool:
+    """Whether the n + 1 lanes of a monic degree-n polynomial fit one uint64."""
+    return (n + 1) * _lane_width(p) <= 64
+
+
+class _PackedTables:
+    """Constants of the packed kernel for monic degree-n polynomials over F_p.
+
+    * pieces: codes are cut into runs of base-p digits, each run a digit
+      in base ``base`` (at most _PIECE), and for each run f[r] and df[r]
+      are the lanes that its value r contributes to f and to f'; top holds
+      those of x^n.
+    * lead: bit offset of the leading lane of a word x, indexed by the
+      float64 exponent of (x & ~(x >> 1)) >> 1.  Keeping only the top bit
+      of each run of ones means the conversion never rounds up to the next
+      power of two, so the offset is exact on all 64 bits; 0 and 1 both
+      map to offset 0.
+    * neg_inv: -1/c mod p at c = 1..p-1.
+    * spare and subtract: the spare bit of every lane, and for j from the
+      top down, p 2^j in every lane with p 2^j itself.
+    """
+
+    __slots__ = ("width", "base", "pieces", "top", "lead", "neg_inv", "spare", "subtract")
+
+    def __init__(self, p: int, n: int):
+        w = self.width = _lane_width(p)
+        digits = 1
+        while digits < n and p ** (digits + 1) <= _PIECE:
+            digits += 1
+        self.base = p**digits
+        digit_rows = np.empty((digits, self.base), np.uint64)
+        _write_digits(p, np.arange(self.base, dtype=np.int64), digit_rows)
+        self.pieces = []
+        for lo in range(0, n, digits):
+            f = np.zeros(self.base, np.uint64)
+            df = np.zeros(self.base, np.uint64)
+            for i, digit in enumerate(digit_rows[: n - lo], lo):
+                f |= digit << np.uint64(w * i)
+                if i % p:
+                    df |= digit * np.uint64(i % p) % np.uint64(p) << np.uint64(w * (i - 1))
+            self.pieces.append((f, df))
+        self.top = (np.uint64(1 << (w * n)), np.uint64((n % p) << (w * (n - 1))))
+        bit_length = np.arange(2048) - 1021  # of x, at an exponent e >= 1023
+        self.lead = (np.maximum(bit_length - 1, 0) // w * w).astype(np.uint64)
+        self.neg_inv = np.array([0] + [-pow(c, -1, p) % p for c in range(1, p)], np.uint64)
+        every_lane = sum(1 << (w * i) for i in range(n + 1))
+        self.spare = np.uint64(every_lane << (w - 1) if p > 2 else 0)
+        top_j = (p - 1).bit_length() - 1 if p > 2 else -1
+        self.subtract = [
+            (np.uint64(every_lane * (p << j)), np.uint64(p << j))
+            for j in range(top_j, -1, -1)
+        ]
+
+
+@lru_cache(maxsize=None)
+def _packed_tables(p: int, n: int) -> _PackedTables:
+    return _PackedTables(p, n)
+
+
+def _lead_offset(x: np.ndarray, lead: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Bit offset of the leading lane of each word of x (0 for 0), into out."""
+    np.right_shift(x, np.uint64(1), out=out)
+    np.invert(out, out=out)
+    out &= x
+    out >>= np.uint64(1)
+    exponent = out.view(np.int64)
+    np.copyto(out.view(np.float64), exponent, casting="unsafe")
+    exponent >>= 52
+    return np.take(lead, exponent, out=out, mode="clip")
+
+
+def _reduce_lanes(x: np.ndarray, t: _PackedTables, scratch: np.ndarray) -> None:
+    """Every lane of x mod p in place, for lanes below p (p - 1) + 1.
+
+    Lane by lane, p 2^j is subtracted where the lane is at least p 2^j: the
+    spare bit survives (x | spare) - p 2^j exactly there, with no borrow
+    between lanes.
+    """
+    for every_lane, step in t.subtract:
+        np.bitwise_or(x, t.spare, out=scratch)
+        scratch -= every_lane
+        scratch &= t.spare
+        scratch >>= np.uint64(t.width - 1)
+        scratch *= step
+        x -= scratch
+
+
+def _packed_words(t: _PackedTables, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The words of f and of f' for each monic code, one digit run at a time."""
+    f = np.full(codes.size, t.top[0])
+    df = np.full(codes.size, t.top[1])
+    rest = codes
+    for f_piece, df_piece in t.pieces:
+        rest, run = np.divmod(rest, t.base)
+        f |= f_piece[run]
+        df |= df_piece[run]
+    return f, df
+
+
+def _packed_gcd_degree(p: int, n: int, codes: np.ndarray) -> np.ndarray:
+    """Degree of gcd(f, f') per monic degree-n code over F_p, one word per row.
+
+    Needs _fits_word(p, n).  Euclid on words a = f, b = f': degrees are
+    exact, read as the bit offsets ta, tb of the leading lanes.  Each step
+    swaps a and b on the rows with ta < tb, by an XOR under a row mask, and
+    then cancels a's leading lane with b shifted up by ta - tb bits:
+
+    * over F_2 the step is a ^= b << (ta - tb);
+    * over odd p it is a += k * (b << (ta - tb)) with
+      k = -lead(a) / lead(b) mod p, which carries out of no lane, and the
+      lanes are then reduced mod p by _reduce_lanes.
+
+    Every step lowers deg a + deg b by at least one.  It starts at most
+    2n - 1 and a row has deg a >= 1 until it leaves, so 2n passes empty the
+    loop.  A row leaves as soon as its degree is known, written out through
+    its row index: at the start if f' = 0 (the gcd is f), and once a is a
+    constant: the gcd is b if a = 0, else 1.  The per-pass values live in
+    three buffers allocated once, so memory only shrinks as rows leave.
+    """
+    t = _packed_tables(p, n)
+    a, b = _packed_words(t, codes)
     gdeg = np.full(codes.size, n, np.int64)
     rows = np.flatnonzero(b)
-    a, b = a[rows], b[rows]
-    da = np.full(rows.size, n, np.int64)
-    db = _bit_length(b) - 1
-    for _ in range(2 * n + 4):
-        done = da <= 0
+    a = a[rows]
+    b = b[rows]
+    work = np.empty((3, rows.size), np.uint64)
+    lane = np.uint64((1 << t.width) - 1)
+    for _ in range(2 * n):
+        scratch, ta, tb = work[:, : rows.size]
+        done = a < p
         if done.any():
-            gdeg[rows[done]] = np.where(da[done] == 0, 0, db[done])
-            keep = ~done
-            rows, a, b, da, db = rows[keep], a[keep], b[keep], da[keep], db[keep]
+            out = np.flatnonzero(done)
+            offset = _lead_offset(b[out], t.lead, tb[: out.size])
+            gdeg[rows[out]] = np.where(a[out] == 0, offset // t.width, 0)
+            keep = np.flatnonzero(~done)
+            rows = rows[keep]
+            a = a[keep]
+            b = b[keep]
+            scratch, ta, tb = work[:, : rows.size]
         if not rows.size:
             return gdeg
-        swap = da < db
-        a, b = np.where(swap, b, a), np.where(swap, a, b)
-        da, db = np.where(swap, db, da), np.where(swap, da, db)
-        a ^= b << (da - db).astype(np.uint64)
-        da = _bit_length(a) - 1
+        _lead_offset(a, t.lead, ta)
+        _lead_offset(b, t.lead, tb)
+        swap = ta < tb
+        for x, y in ((a, b), (ta, tb)):
+            np.bitwise_xor(x, y, out=scratch)
+            scratch *= swap
+            x ^= scratch
+            y ^= scratch
+        if p == 2:
+            ta -= tb
+            np.left_shift(b, ta, out=scratch)
+            a ^= scratch
+            continue
+        k = np.right_shift(a, ta, out=scratch)
+        k &= lane
+        ta -= tb  # now the shift that aligns b's leading lane with a's
+        lead_b = np.right_shift(b, tb, out=tb)
+        lead_b &= lane
+        np.take(t.neg_inv, lead_b.view(np.int64), out=lead_b, mode="clip")
+        k *= lead_b
+        np.floor_divide(k, p, out=tb)
+        tb *= p
+        k -= tb
+        np.left_shift(b, ta, out=tb)
+        tb *= k
+        a += tb
+        _reduce_lanes(a, t, scratch)
     raise RuntimeError("batched gcd failed to converge")
-
-
-def _bit_length(x: np.ndarray) -> np.ndarray:
-    """Bit length of each uint64 below 2^53 (0 for 0), exact via frexp."""
-    return np.frexp(x.astype(np.float64))[1].astype(np.int64)
 
 
 def _monic_rows(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -580,25 +760,42 @@ def _monic_rows(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return full, deriv
 
 
-def _census_block(p: int, n: int, lo: int, hi: int) -> np.ndarray:
-    """Count per type index of the square-free codes in [lo, hi), cross-checked."""
-    codes = np.arange(lo, hi, dtype=np.int64)
-    if p == 2:
-        gdeg = _packed_gcd_degree_f2(n, codes)
-    else:
-        gdeg = _batched_gcd_degree(*_monic_rows(p, n, codes), p)
+def _gcd_degrees(p: int, n: int, codes: np.ndarray) -> np.ndarray:
+    """deg gcd(f, f') per monic degree-n code: packed words when they fit, else digit rows."""
+    if _fits_word(p, n):
+        return _packed_gcd_degree(p, n, codes)
+    return _batched_gcd_degree(*_monic_rows(p, n, codes), p)
+
+
+def _census_block(p: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, float, float]:
+    """Count per type index of the square-free codes in [lo, hi), cross-checked.
+
+    Also returns the seconds spent in the gcd and in the check and count.
+    """
+    start = time.perf_counter()
+    gdeg = _gcd_degrees(p, n, np.arange(lo, hi, dtype=np.int64))
+    gcd_done = time.perf_counter()
     table = _factor_table(p, n)
     if not np.array_equal(table.repeated[lo:hi], gdeg > 0):
         raise RuntimeError(
             f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
         )
-    return np.bincount(table.ftype[lo:hi][gdeg == 0], minlength=len(partitions(n)))
+    counts = np.bincount(table.ftype[lo:hi][gdeg == 0], minlength=len(partitions(n)))
+    return counts, gcd_done - start, time.perf_counter() - gcd_done
 
 
-def _census_vector(p: int, n: int, workers: int | None) -> dict[Partition, int]:
+def _census_vector(
+    p: int, n: int, workers: int | None
+) -> tuple[dict[Partition, int], dict[str, float]]:
     # every table the blocks read is built here, so the threads only read them
+    start = time.perf_counter()
     _factor_table(p, n)
-    _inverse_table(p)
+    sieved = time.perf_counter()
+    if _fits_word(p, n):
+        _packed_tables(p, n)
+    else:
+        _inverse_table(p)
+    seconds = {"sieve": sieved - start, "gcd": time.perf_counter() - sieved}
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
     total = p**n
@@ -609,7 +806,11 @@ def _census_vector(p: int, n: int, workers: int | None) -> dict[Partition, int]:
     else:
         with ThreadPoolExecutor(threads) as pool:
             parts = list(pool.map(lambda b: _census_block(p, n, *b), bounds))
-    return dict(zip(partitions(n), sum(parts).tolist()))
+    start = time.perf_counter()
+    counts = dict(zip(partitions(n), sum(c for c, _, _ in parts).tolist()))
+    seconds["gcd"] += sum(g for _, g, _ in parts)
+    seconds["tally"] = sum(t for _, _, t in parts) + time.perf_counter() - start
+    return counts, seconds
 
 
 def factor_type_census(
@@ -639,15 +840,15 @@ def factor_type_census(
     if engine == "auto":
         engine = "scalar" if required <= _SCALAR_CUTOFF else "vector"
     if engine == "scalar":
-        raw = _census_scalar(p, n, budget)
+        raw, seconds = _census_scalar(p, n, budget)
     elif engine == "vector":
-        raw = _census_vector(p, n, workers)
+        raw, seconds = _census_vector(p, n, workers)
     else:
         raise ValueError(f"unknown engine {engine!r}")
     counts = {lam: raw.pop(lam, 0) for lam in partitions(n)}
     if raw:
         raise RuntimeError(f"census produced non-partition types: {sorted(raw)}")
-    return FactorTypeTally(p, n, counts, sum(counts.values()))
+    return FactorTypeTally(p, n, counts, sum(counts.values()), seconds)
 
 
 def census_vs_theory(
@@ -682,4 +883,6 @@ def census_vs_theory(
         if n >= 2:
             ok = ok and measure_value(lam, p) * expected_total == count
         rows.append(CensusRow(lam, count, predicted, ok))
-    return CensusReport(p, n, tally.total_squarefree, expected_total, tuple(rows))
+    return CensusReport(
+        p, n, tally.total_squarefree, expected_total, tuple(rows), p**n, tally.seconds
+    )

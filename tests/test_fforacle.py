@@ -1,5 +1,6 @@
 """Finite-field square-free census and its polynomial arithmetic core."""
 
+import random
 import sys
 import threading
 
@@ -12,8 +13,10 @@ from braidchar import fforacle
 from braidchar.fforacle import (
     BudgetError,
     _batched_gcd_degree,
+    _fits_word,
+    _gcd_degrees,
     _monic_rows,
-    _packed_gcd_degree_f2,
+    _packed_gcd_degree,
     census_vs_theory,
     enumerate_irreducibles,
     factor_list,
@@ -119,13 +122,14 @@ def test_factor_table_matches_trial_division(p, d):
         assert got == (poly_degree(g), poly_to_code(g, p)), (p, code)
 
 
+def scalar_gcd_degree(p, n, code):
+    """deg gcd(f, f') for the monic degree-n f of this code, by scalar Euclid."""
+    f = poly_from_code(code, n, p)
+    return poly_degree(poly_gcd(f, poly_derivative(f, p), p))
+
+
 def scalar_gcd_degrees(p, n):
-    """deg gcd(f, f') for every monic degree-n f over F_p, by scalar Euclid."""
-    degrees = []
-    for code in range(p**n):
-        f = poly_from_code(code, n, p)
-        degrees.append(poly_degree(poly_gcd(f, poly_derivative(f, p), p)))
-    return degrees
+    return [scalar_gcd_degree(p, n, code) for code in range(p**n)]
 
 
 @pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
@@ -140,12 +144,67 @@ def test_packed_f2_gcd_matches_both_kernels():
     zero_derivative = 0
     for n in range(1, 13):
         codes = np.arange(2**n, dtype=np.int64)
-        packed = _packed_gcd_degree_f2(n, codes).tolist()
+        packed = _packed_gcd_degree(2, n, codes).tolist()
         assert packed == _batched_gcd_degree(*_monic_rows(2, n, codes), 2).tolist(), n
         assert packed == scalar_gcd_degrees(2, n), n
         zero_derivative += packed.count(n)
     # f' = 0 (f a square over F_2) leaves the kernel at once with gcd f
     assert zero_derivative > 0
+
+
+@pytest.mark.parametrize("p, top", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
+def test_packed_gcd_matches_both_kernels(p, top):
+    # p = 2 is test_packed_f2_gcd_matches_both_kernels
+    for n in range(1, top + 1):
+        assert _fits_word(p, n)
+        codes = np.arange(p**n, dtype=np.int64)
+        packed = _packed_gcd_degree(p, n, codes).tolist()
+        assert packed == _batched_gcd_degree(*_monic_rows(p, n, codes), p).tolist(), n
+        assert packed == scalar_gcd_degrees(p, n), n
+
+
+def sampled_codes(p, n, count, seed):
+    rng = random.Random(seed)
+    codes = [rng.randrange(p**n) for _ in range(count)]
+    return np.array(codes, np.uint64 if p**n > 2**63 else np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_zero_derivative_rows_for_every_prime(p):
+    # f = x^p + c is (x + c')^p, so f' = 0 and the gcd is f itself; for
+    # p <= 7 the packed kernel holds degree p, for 11 and 13 the digit rows do
+    codes = np.arange(p, dtype=np.int64)
+    assert _fits_word(p, p) == (p <= 7)
+    assert _gcd_degrees(p, p, codes).tolist() == [p] * p
+    assert [scalar_gcd_degree(p, p, c) for c in range(p)] == [p] * p
+
+
+@pytest.mark.parametrize(
+    "p, largest", [(2, 63), (3, 15), (5, 9), (7, 8), (11, 7), (13, 6)]
+)
+def test_gcd_at_the_word_boundary(p, largest):
+    # the largest degree whose lanes fit one word runs the packed kernel, the
+    # next one the digit rows; both must give scalar Euclid's degrees
+    assert _fits_word(p, largest) and not _fits_word(p, largest + 1)
+    codes = sampled_codes(p, largest, 200, seed=p)
+    packed = _packed_gcd_degree(p, largest, codes).tolist()
+    assert packed == _batched_gcd_degree(*_monic_rows(p, largest, codes), p).tolist()
+    assert packed == [scalar_gcd_degree(p, largest, c) for c in codes.tolist()]
+    n = largest + 1
+    codes = sampled_codes(p, n, 300, seed=p)
+    expected = [scalar_gcd_degree(p, n, c) for c in codes.tolist()]
+    assert _gcd_degrees(p, n, codes).tolist() == expected
+
+
+@pytest.mark.parametrize("p, n", [(2, 64), (3163, 2)])
+def test_cells_wider_than_a_word_run_the_digit_rows(p, n):
+    # 65 one-bit lanes, or three 25-bit lanes, do not fit 64 bits
+    assert not _fits_word(p, n)
+    if p > 2:
+        assert _fits_word(p, n - 1)
+    codes = sampled_codes(p, n, 300, seed=n)
+    expected = [scalar_gcd_degree(p, n, c) for c in codes.tolist()]
+    assert _gcd_degrees(p, n, codes).tolist() == expected
 
 
 @pytest.mark.parametrize("p, n", [(131, 2), (257, 2), (1009, 2), (10007, 1)])
@@ -170,17 +229,18 @@ def test_workers_match_serial(monkeypatch):
 
 def test_worker_thread_failure_reaches_caller(monkeypatch):
     monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 26 blocks of 256 codes on 2 threads
-    kernel = fforacle._batched_gcd_degree
+    kernel = fforacle._packed_gcd_degree
     corrupted_in = []
 
-    def corrupt_one_block(full, deriv, p):
-        gdeg = kernel(full, deriv, p)
-        if poly_to_code(tuple(full[0].tolist()), p) == 5 * 256:
+    def corrupt_one_block(p, n, codes):
+        gdeg = kernel(p, n, codes)
+        if codes[0] == 5 * 256:
             corrupted_in.append(threading.current_thread())
             gdeg[0] = int(gdeg[0] == 0)  # flip the square-free verdict of one row
         return gdeg
 
-    monkeypatch.setattr(fforacle, "_batched_gcd_degree", corrupt_one_block)
+    assert fforacle._fits_word(3, 8)
+    monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_one_block)
     with pytest.raises(RuntimeError, match="disagrees with factorization"):
         factor_type_census(3, 8, engine="vector", workers=2)
     assert len(corrupted_in) == 1
@@ -205,6 +265,17 @@ def test_census_vs_theory_reports():
         assert report.expected_total == p**n - p ** (n - 1)
         for row in report.rows:
             assert row.count == necklace_count(row.partition, p)
+
+
+def test_census_report_stage_seconds():
+    reports = [census_vs_theory(3, 4, engine=e) for e in ("scalar", "vector")]
+    for report in reports:
+        assert report.candidates == 3**4
+        assert set(report.seconds) == {"sieve", "gcd", "tally"}
+        assert min(report.seconds.values()) >= 0
+        assert "seconds" not in repr(report) and "candidates" not in repr(report)
+    # the timings differ between the engines; equality ignores them
+    assert reports[0] == reports[1]
 
 
 def necklace_count(lam, p):
