@@ -30,21 +30,22 @@ exactly when the gcd is nonconstant) and the per-degree irreducible counts
 against the necklace polynomial values M_d(p), and raises if either check
 fails.
 
-Its batched gcd packs each polynomial into one uint64 word whenever the
-n + 1 coefficient lanes fit, after Boothby-Bradshaw 2009 ("Bitslicing and
-the Method of Four Russians over larger finite fields").  Over F_2 a lane
-is one bit and a Euclid step is a shift and an XOR.  Over odd p a lane is
-wide enough that a + k * (b << shift) carries out of no lane, and the
-lanes are reduced mod p by conditional subtractions of p 2^j tested on a
-spare top bit of each lane.  Degrees are exact, read from the bit length;
-swaps are XORs under a row mask; and a row leaves the working arrays as
-soon as its gcd degree is known.  Cells whose lanes do not fit a word
-(large p or large n) run Euclid on digit rows with the leading coefficient
-in column 0: every row moves by exactly one column per step, so a step is
-a few whole-array operations with no per-row search for the leading term.
-Digit arrays use the narrowest signed dtype that holds (p - 1)^2, so no
-product of two digits wraps for any p.  The tests hold the packed kernel
-to the digit rows and to scalar Euclid.
+Its batched gcd packs each polynomial into one uint64 word of n + 1
+coefficient lanes, after Boothby-Bradshaw 2009 ("Bitslicing and the Method
+of Four Russians over larger finite fields").  Over F_2 a lane is one bit
+and a Euclid step is a shift and an XOR.  Over odd p a step is
+a + k * (b << shift), and the lanes are reduced mod p by conditional
+subtractions tested on a spare top bit of each lane.  Wide lanes hold the
+product of one multiply, carrying out of no lane; where n + 1 of them do
+not fit a word, narrow lanes (about log2 p bits rather than 2 log2 p) take
+k one bit at a time, with one conditional subtraction of p after each
+addition and each doubling.
+Degrees are exact, read from the bit length; swaps are XORs under a row
+mask; and a row leaves the working arrays as soon as its gcd degree is
+known.  A cell whose narrow lanes do not fit a word either, such as (3, 16)
+or (2, 64), is refused with ValueError before any table is built; the
+default budget admits no such cell.  The tests hold the kernel to scalar
+Euclid.
 
 The vectorized census runs its blocks on ``workers`` threads (by default
 the CPU count), which share one set of factor tables built before the
@@ -56,6 +57,7 @@ with the number of threads.  There are never more threads than blocks.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -400,8 +402,9 @@ class _FactorTable:
 def _coeff_dtype(p: int, terms: int = 1) -> np.dtype:
     """Narrowest signed integer dtype that holds terms * (p - 1)^2.
 
-    Digits, products of two digits and sums of such products over F_p all
-    live in this type, so nothing wraps for any p.
+    The sieve's digit rows, the products of their digits with those of an
+    irreducible g and the sums of up to ``terms`` such products all live in
+    this type, so nothing wraps for any p.
     """
     bound = terms * (p - 1) ** 2
     for dt in (np.int8, np.int16, np.int32):
@@ -427,14 +430,6 @@ def _write_digits(p: int, codes: np.ndarray, out: np.ndarray) -> None:
         q = c // p
         row[...] = c - q * p
         c = q
-
-
-@lru_cache(maxsize=None)
-def _inverse_table(p: int) -> np.ndarray:
-    inv = np.zeros(p, _coeff_dtype(p))
-    for a in range(1, p):
-        inv[a] = pow(a, -1, p)
-    return inv
 
 
 @lru_cache(maxsize=None)
@@ -504,130 +499,94 @@ def _irreducible_codes(p: int, d: int) -> np.ndarray:
     return np.flatnonzero(_factor_table(p, d).sif_deg == 0).astype(np.int64)
 
 
-def _batched_gcd_degree(full: np.ndarray, deriv: np.ndarray, p: int) -> np.ndarray:
-    """Degree of gcd(f, f') per row.
-
-    full: (m, n+1) low-aligned coefficients of monic degree-n rows.
-    deriv: (m, n) low-aligned derivative coefficients.
-
-    Euclid on top-aligned rows: column j of a holds the coefficient of
-    x^(da - j), and likewise for b, so one masked subtraction cancels every
-    row's leading term at once.
-
-    * b is exact: its column 0 is nonzero and db is its degree.
-    * a is lazy: da is only an upper bound on its degree, and its column 0
-      may be zero; its columns past da are zero.
-
-    Each step swaps the rows whose a has a nonzero leading term and da < db,
-    subtracts coef * b from a (coef = 0 where a's leading term is zero, so
-    that step is only a shift), reduces mod p and shifts a left by exactly
-    one column, lowering da by one.  A swap keeps da + db, so every step
-    lowers da + db by one.  It starts at most n + (n - 1) = 2 * width - 3
-    and db stays >= 0, so da <= 0 within 2 * width - 2 steps, and
-    2 * width + 4 steps bound the loop.
-
-    A row leaves the working arrays as soon as its degree is known, which
-    is written out through its row index:
-    * at the start if f' = 0: the gcd is f;
-    * once da <= 0, if a is zero: the gcd is b;
-    * once da <= 0, if a is a nonzero constant: the gcd is 1.
-    """
-    m, width = full.shape
-    gdeg = np.full(m, width - 1, np.int64)
-    nz = deriv[:, ::-1] != 0
-    rows = np.flatnonzero(nz.any(axis=1))
-    db = (deriv.shape[1] - 1) - np.argmax(nz[rows], axis=1)
-    live = deriv[rows]
-    b = np.zeros((rows.size, width), full.dtype)
-    for d in np.flatnonzero(np.bincount(db)).tolist():
-        same = np.flatnonzero(db == d)
-        b[same, : d + 1] = live[same, d::-1]
-    a = np.ascontiguousarray(full[rows, ::-1])
-    da = np.full(rows.size, width - 1, np.int64)
-    inv = _inverse_table(p)
-    for _ in range(2 * width + 4):
-        done = da <= 0
-        if done.any():
-            gdeg[rows[done]] = np.where(a[done, 0] != 0, 0, db[done])
-            keep = ~done
-            rows, a, b, da, db = rows[keep], a[keep], b[keep], da[keep], db[keep]
-        if not rows.size:
-            return gdeg
-        swap = np.flatnonzero((a[:, 0] != 0) & (da < db))
-        if swap.size:
-            a[swap], b[swap] = b[swap], a[swap]
-            da[swap], db[swap] = db[swap], da[swap]
-        coef = _reduce(a[:, 0] * inv[b[:, 0]], p)
-        a -= coef[:, None] * b
-        _reduce(a, p)
-        a[:, :-1] = a[:, 1:]
-        a[:, -1] = 0
-        da -= 1
-    raise RuntimeError("batched gcd failed to converge")
-
-
-# Packed kernel.  Each polynomial is one uint64 whose lane i, _lane_width(p)
+# Packed kernel.  Each polynomial is one uint64 whose lane i, _lane_width
 # bits wide, holds the coefficient of x^i.
 
 
-def _lane_width(p: int) -> int:
+def _lane_width(p: int, narrow: bool) -> int:
     """Bits per lane of the packed gcd kernel.
 
-    Over F_2 a lane is one bit.  Over odd p it holds a + k * b <= p (p - 1)
-    for coefficients a, b and a multiplier k below p, plus a spare top bit
-    on which the reduction mod p tests.
+    Over F_2 a lane is one bit.  Over odd p a lane has a spare top bit, on
+    which the reduction mod p tests, above room for the largest value a step
+    leaves in it: a wide lane holds a + k * b <= p (p - 1) for coefficients
+    a, b and a multiplier k below p, a narrow lane, which takes k one bit at
+    a time, only a + b <= 2p - 2.
     """
-    return 1 if p == 2 else (p * (p - 1)).bit_length() + 1
+    if p == 2:
+        return 1
+    return (2 * p - 2 if narrow else p * (p - 1)).bit_length() + 1
 
 
-def _fits_word(p: int, n: int) -> bool:
-    """Whether the n + 1 lanes of a monic degree-n polynomial fit one uint64."""
-    return (n + 1) * _lane_width(p) <= 64
+def _narrow_lanes(p: int, n: int) -> bool:
+    """Whether degree n over F_p runs narrow lanes: n + 1 wide ones overflow a word.
+
+    Raises ValueError where n + 1 narrow lanes overflow the word too.
+    """
+    for narrow in (False, True):
+        width = _lane_width(p, narrow)
+        if (n + 1) * width <= 64:
+            return narrow
+    raise ValueError(
+        f"census of degree {n} over F_{p} needs {(n + 1) * width} bits per packed "
+        f"polynomial ({n + 1} lanes of {width}), more than the 64 of a word"
+    )
 
 
 class _PackedTables:
     """Constants of the packed kernel for monic degree-n polynomials over F_p.
 
+    * narrow and width: the lanes, as _narrow_lanes and _lane_width choose
+      them.
     * pieces: codes are cut into runs of base-p digits, each run a digit
       in base ``base`` (at most _PIECE), and for each run f[r] and df[r]
-      are the lanes that its value r contributes to f and to f'; top holds
-      those of x^n.
+      are the lanes that its value r contributes to f and to f'.  For
+      p > _PIECE a run table would have p entries, so pieces is empty and
+      _packed_words computes the lanes of each digit.  top holds the lanes
+      of x^n.
     * lead: bit offset of the leading lane of a word x, indexed by the
       float64 exponent of (x & ~(x >> 1)) >> 1.  Keeping only the top bit
       of each run of ones means the conversion never rounds up to the next
       power of two, so the offset is exact on all 64 bits; 0 and 1 both
       map to offset 0.
-    * neg_inv: -1/c mod p at c = 1..p-1.
+    * neg_inv: -1/c mod p at c = 1..p-1, read from a generator, so that
+      no list of p Python ints is formed.
     * spare and subtract: the spare bit of every lane, and for j from the
-      top down, p 2^j in every lane with p 2^j itself.
+      top down, p 2^j in every lane with p 2^j itself.  Narrow lanes never
+      hold 2p, so they subtract p alone.
     """
 
-    __slots__ = ("width", "base", "pieces", "top", "lead", "neg_inv", "spare", "subtract")
+    __slots__ = (
+        "narrow", "width", "base", "pieces", "top", "lead", "neg_inv", "spare", "subtract"
+    )
 
-    def __init__(self, p: int, n: int):
-        w = self.width = _lane_width(p)
+    def __init__(self, p: int, n: int, narrow: bool):
+        self.narrow = narrow
+        w = self.width = _lane_width(p, narrow)
         digits = 1
         while digits < n and p ** (digits + 1) <= _PIECE:
             digits += 1
         self.base = p**digits
-        digit_rows = np.empty((digits, self.base), np.uint64)
-        _write_digits(p, np.arange(self.base, dtype=np.int64), digit_rows)
         self.pieces = []
-        for lo in range(0, n, digits):
-            f = np.zeros(self.base, np.uint64)
-            df = np.zeros(self.base, np.uint64)
-            for i, digit in enumerate(digit_rows[: n - lo], lo):
-                f |= digit << np.uint64(w * i)
-                if i % p:
-                    df |= digit * np.uint64(i % p) % np.uint64(p) << np.uint64(w * (i - 1))
-            self.pieces.append((f, df))
+        if self.base <= _PIECE:
+            digit_rows = np.empty((digits, self.base), np.uint64)
+            _write_digits(p, np.arange(self.base, dtype=np.int64), digit_rows)
+            for lo in range(0, n, digits):
+                f = np.zeros(self.base, np.uint64)
+                df = np.zeros(self.base, np.uint64)
+                for i, digit in enumerate(digit_rows[: n - lo], lo):
+                    f |= digit << np.uint64(w * i)
+                    if i % p:
+                        derived = digit * np.uint64(i % p) % np.uint64(p)
+                        df |= derived << np.uint64(w * (i - 1))
+                self.pieces.append((f, df))
         self.top = (np.uint64(1 << (w * n)), np.uint64((n % p) << (w * (n - 1))))
         bit_length = np.arange(2048) - 1021  # of x, at an exponent e >= 1023
         self.lead = (np.maximum(bit_length - 1, 0) // w * w).astype(np.uint64)
-        self.neg_inv = np.array([0] + [-pow(c, -1, p) % p for c in range(1, p)], np.uint64)
+        inverses = (p - pow(c, -1, p) for c in range(1, p))
+        self.neg_inv = np.fromiter(itertools.chain((0,), inverses), np.uint64, count=p)
         every_lane = sum(1 << (w * i) for i in range(n + 1))
         self.spare = np.uint64(every_lane << (w - 1) if p > 2 else 0)
-        top_j = (p - 1).bit_length() - 1 if p > 2 else -1
+        top_j = -1 if p == 2 else 0 if narrow else (p - 1).bit_length() - 1
         self.subtract = [
             (np.uint64(every_lane * (p << j)), np.uint64(p << j))
             for j in range(top_j, -1, -1)
@@ -636,7 +595,7 @@ class _PackedTables:
 
 @lru_cache(maxsize=None)
 def _packed_tables(p: int, n: int) -> _PackedTables:
-    return _PackedTables(p, n)
+    return _PackedTables(p, n, _narrow_lanes(p, n))
 
 
 def _lead_offset(x: np.ndarray, lead: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -652,11 +611,12 @@ def _lead_offset(x: np.ndarray, lead: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 def _reduce_lanes(x: np.ndarray, t: _PackedTables, scratch: np.ndarray) -> None:
-    """Every lane of x mod p in place, for lanes below p (p - 1) + 1.
+    """Every lane of x mod p in place, for lanes below p 2^(J + 1).
 
-    Lane by lane, p 2^j is subtracted where the lane is at least p 2^j: the
-    spare bit survives (x | spare) - p 2^j exactly there, with no borrow
-    between lanes.
+    J is the largest j of t.subtract, so the bound is over p (p - 1) on wide
+    lanes and 2p on narrow ones, where J = 0.  Lane by lane, p 2^j is
+    subtracted where the lane is at least p 2^j: the spare bit survives
+    (x | spare) - p 2^j exactly there, with no borrow between lanes.
     """
     for every_lane, step in t.subtract:
         np.bitwise_or(x, t.spare, out=scratch)
@@ -667,7 +627,9 @@ def _reduce_lanes(x: np.ndarray, t: _PackedTables, scratch: np.ndarray) -> None:
         x -= scratch
 
 
-def _packed_words(t: _PackedTables, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _packed_words(
+    p: int, n: int, t: _PackedTables, codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The words of f and of f' for each monic code, one digit run at a time."""
     f = np.full(codes.size, t.top[0])
     df = np.full(codes.size, t.top[1])
@@ -676,37 +638,50 @@ def _packed_words(t: _PackedTables, codes: np.ndarray) -> tuple[np.ndarray, np.n
         rest, run = np.divmod(rest, t.base)
         f |= f_piece[run]
         df |= df_piece[run]
+    if not t.pieces:
+        rest = rest.astype(np.uint64)
+        for i in range(n):
+            rest, digit = np.divmod(rest, np.uint64(p))
+            f |= digit << np.uint64(t.width * i)
+            if i % p:
+                digit *= np.uint64(i % p)
+                digit %= np.uint64(p)
+                df |= digit << np.uint64(t.width * (i - 1))
     return f, df
 
 
 def _packed_gcd_degree(p: int, n: int, codes: np.ndarray) -> np.ndarray:
     """Degree of gcd(f, f') per monic degree-n code over F_p, one word per row.
 
-    Needs _fits_word(p, n).  Euclid on words a = f, b = f': degrees are
-    exact, read as the bit offsets ta, tb of the leading lanes.  Each step
-    swaps a and b on the rows with ta < tb, by an XOR under a row mask, and
-    then cancels a's leading lane with b shifted up by ta - tb bits:
+    Euclid on words a = f, b = f': degrees are exact, read as the bit
+    offsets ta, tb of the leading lanes.  Each step swaps a and b on the
+    rows with ta < tb, by an XOR under a row mask, and then cancels a's
+    leading lane with b shifted up by ta - tb bits:
 
     * over F_2 the step is a ^= b << (ta - tb);
     * over odd p it is a += k * (b << (ta - tb)) with
-      k = -lead(a) / lead(b) mod p, which carries out of no lane, and the
-      lanes are then reduced mod p by _reduce_lanes.
+      k = -lead(a) / lead(b) mod p.  Wide lanes take the product in one
+      multiply, which carries out of no lane, and are then reduced mod p by
+      _reduce_lanes.  Narrow lanes take it one bit of k at a time: add the
+      shifted b where the bit is set, reduce, double the shifted b, reduce.
 
     Every step lowers deg a + deg b by at least one.  It starts at most
     2n - 1 and a row has deg a >= 1 until it leaves, so 2n passes empty the
     loop.  A row leaves as soon as its degree is known, written out through
-    its row index: at the start if f' = 0 (the gcd is f), and once a is a
-    constant: the gcd is b if a = 0, else 1.  The per-pass values live in
-    three buffers allocated once, so memory only shrinks as rows leave.
+    its row index: at the start if f' is a constant (the gcd is f if f' = 0,
+    else 1), and once a is a constant: the gcd is b if a = 0, else 1.  The
+    per-pass values live in three buffers allocated once, so memory only
+    shrinks as rows leave.
     """
     t = _packed_tables(p, n)
-    a, b = _packed_words(t, codes)
-    gdeg = np.full(codes.size, n, np.int64)
-    rows = np.flatnonzero(b)
+    a, b = _packed_words(p, n, t, codes)
+    gdeg = np.where(b == 0, n, 0)
+    rows = np.flatnonzero(b >= p)
     a = a[rows]
     b = b[rows]
     work = np.empty((3, rows.size), np.uint64)
     lane = np.uint64((1 << t.width) - 1)
+    k_bits = (p - 1).bit_length()
     for _ in range(2 * n):
         scratch, ta, tb = work[:, : rows.size]
         done = a < p
@@ -744,27 +719,23 @@ def _packed_gcd_degree(p: int, n: int, codes: np.ndarray) -> np.ndarray:
         np.floor_divide(k, p, out=tb)
         tb *= p
         k -= tb
-        np.left_shift(b, ta, out=tb)
-        tb *= k
-        a += tb
-        _reduce_lanes(a, t, scratch)
+        shifted = np.left_shift(b, ta, out=tb)
+        if not t.narrow:
+            shifted *= k
+            a += shifted
+            _reduce_lanes(a, t, scratch)
+            continue
+        term = ta
+        for bit in range(k_bits):
+            np.right_shift(k, np.uint64(bit), out=term)
+            term &= np.uint64(1)
+            term *= shifted
+            a += term
+            _reduce_lanes(a, t, term)
+            if bit + 1 < k_bits:
+                shifted += shifted
+                _reduce_lanes(shifted, t, term)
     raise RuntimeError("batched gcd failed to converge")
-
-
-def _monic_rows(p: int, n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low-aligned coefficients of the monic degree-n codes and of their derivatives."""
-    full = np.empty((codes.size, n + 1), _coeff_dtype(p))
-    _write_digits(p, codes, full[:, :n].T)
-    full[:, n] = 1
-    deriv = _reduce(full[:, 1:] * (np.arange(1, n + 1) % p).astype(full.dtype), p)
-    return full, deriv
-
-
-def _gcd_degrees(p: int, n: int, codes: np.ndarray) -> np.ndarray:
-    """deg gcd(f, f') per monic degree-n code: packed words when they fit, else digit rows."""
-    if _fits_word(p, n):
-        return _packed_gcd_degree(p, n, codes)
-    return _batched_gcd_degree(*_monic_rows(p, n, codes), p)
 
 
 def _census_block(p: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, float, float]:
@@ -773,7 +744,7 @@ def _census_block(p: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, float, 
     Also returns the seconds spent in the gcd and in the check and count.
     """
     start = time.perf_counter()
-    gdeg = _gcd_degrees(p, n, np.arange(lo, hi, dtype=np.int64))
+    gdeg = _packed_gcd_degree(p, n, np.arange(lo, hi, dtype=np.int64))
     gcd_done = time.perf_counter()
     table = _factor_table(p, n)
     if not np.array_equal(table.repeated[lo:hi], gdeg > 0):
@@ -787,15 +758,13 @@ def _census_block(p: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, float, 
 def _census_vector(
     p: int, n: int, workers: int | None
 ) -> tuple[dict[Partition, int], dict[str, float]]:
-    # every table the blocks read is built here, so the threads only read them
+    # every table the blocks read is built here, so the threads only read
+    # them; the gcd tables come first, as they refuse a cell too wide for a word
     start = time.perf_counter()
+    _packed_tables(p, n)
+    tabled = time.perf_counter()
     _factor_table(p, n)
-    sieved = time.perf_counter()
-    if _fits_word(p, n):
-        _packed_tables(p, n)
-    else:
-        _inverse_table(p)
-    seconds = {"sieve": sieved - start, "gcd": time.perf_counter() - sieved}
+    seconds = {"sieve": time.perf_counter() - tabled, "gcd": tabled - start}
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
     total = p**n

@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 
 from braidchar import fforacle
 from braidchar.fforacle import (
+    DEFAULT_BUDGET,
     BudgetError,
-    _batched_gcd_degree,
-    _fits_word,
-    _gcd_degrees,
-    _monic_rows,
+    _narrow_lanes,
     _packed_gcd_degree,
+    _PackedTables,
     census_vs_theory,
     enumerate_irreducibles,
     factor_list,
@@ -132,20 +131,11 @@ def scalar_gcd_degrees(p, n):
     return [scalar_gcd_degree(p, n, code) for code in range(p**n)]
 
 
-@pytest.mark.parametrize("p, top", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
-def test_batched_gcd_matches_scalar_rows(p, top):
-    for n in range(1, top + 1):
-        codes = np.arange(p**n, dtype=np.int64)
-        gdeg = _batched_gcd_degree(*_monic_rows(p, n, codes), p)
-        assert gdeg.tolist() == scalar_gcd_degrees(p, n), (p, n)
-
-
 def test_packed_f2_gcd_matches_both_kernels():
     zero_derivative = 0
     for n in range(1, 13):
         codes = np.arange(2**n, dtype=np.int64)
         packed = _packed_gcd_degree(2, n, codes).tolist()
-        assert packed == _batched_gcd_degree(*_monic_rows(2, n, codes), 2).tolist(), n
         assert packed == scalar_gcd_degrees(2, n), n
         zero_derivative += packed.count(n)
     # f' = 0 (f a square over F_2) leaves the kernel at once with gcd f
@@ -153,63 +143,119 @@ def test_packed_f2_gcd_matches_both_kernels():
 
 
 @pytest.mark.parametrize("p, top", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
-def test_packed_gcd_matches_both_kernels(p, top):
-    # p = 2 is test_packed_f2_gcd_matches_both_kernels
+def test_packed_gcd_matches_both_kernels(p, top, monkeypatch):
+    # every code on the wide lanes these cells run, and on narrow lanes,
+    # forced; p = 2 is test_packed_f2_gcd_matches_both_kernels
     for n in range(1, top + 1):
-        assert _fits_word(p, n)
+        assert not _narrow_lanes(p, n)
         codes = np.arange(p**n, dtype=np.int64)
-        packed = _packed_gcd_degree(p, n, codes).tolist()
-        assert packed == _batched_gcd_degree(*_monic_rows(p, n, codes), p).tolist(), n
-        assert packed == scalar_gcd_degrees(p, n), n
+        expected = scalar_gcd_degrees(p, n)
+        assert _packed_gcd_degree(p, n, codes).tolist() == expected, n
+        with monkeypatch.context() as patch:
+            patch.setattr(
+                fforacle, "_packed_tables", lambda p, n: _PackedTables(p, n, narrow=True)
+            )
+            assert _packed_gcd_degree(p, n, codes).tolist() == expected, n
 
 
 def sampled_codes(p, n, count, seed):
+    # every other code has a repeated linear factor, which uniform codes
+    # almost never have for large p
     rng = random.Random(seed)
-    codes = [rng.randrange(p**n) for _ in range(count)]
-    return np.array(codes, np.uint64 if p**n > 2**63 else np.int64)
+    codes = []
+    for i in range(count):
+        if i % 2 and n >= 2:
+            root = (rng.randrange(p), 1)
+            cofactor = poly_from_code(rng.randrange(p ** (n - 2)), n - 2, p)
+            f = poly_mul(poly_mul(root, root, p), cofactor, p)
+            codes.append(poly_to_code(f, p))
+        else:
+            codes.append(rng.randrange(p**n))
+    return np.array(codes, np.int64)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def assert_matches_scalar_euclid(p, n, codes):
+    expected = [scalar_gcd_degree(p, n, c) for c in codes.tolist()]
+    assert _packed_gcd_degree(p, n, codes).tolist() == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_zero_derivative_rows_for_every_prime(p):
-    # f = x^p + c is (x + c')^p, so f' = 0 and the gcd is f itself; for
-    # p <= 7 the packed kernel holds degree p, for 11 and 13 the digit rows do
+    # f = x^p + c is (x + c')^p, so f' = 0 and the gcd is f itself; from
+    # p = 11 on, degree p does not fit a word
     codes = np.arange(p, dtype=np.int64)
-    assert _fits_word(p, p) == (p <= 7)
-    assert _gcd_degrees(p, p, codes).tolist() == [p] * p
+    assert _packed_gcd_degree(p, p, codes).tolist() == [p] * p
     assert [scalar_gcd_degree(p, p, c) for c in range(p)] == [p] * p
+
+
+def test_zero_derivative_rows_on_narrow_lanes():
+    # x^10 + c x^5 + d is (x^2 + c x + d)^5 over F_5, so f' = 0 and the gcd
+    # is f itself
+    assert _narrow_lanes(5, 10)
+    codes = np.array([c * 5**5 + d for c in range(5) for d in range(5)], np.int64)
+    assert _packed_gcd_degree(5, 10, codes).tolist() == [10] * 25
+    assert [scalar_gcd_degree(5, 10, c) for c in codes.tolist()] == [10] * 25
 
 
 @pytest.mark.parametrize(
     "p, largest", [(2, 63), (3, 15), (5, 9), (7, 8), (11, 7), (13, 6)]
 )
 def test_gcd_at_the_word_boundary(p, largest):
-    # the largest degree whose lanes fit one word runs the packed kernel, the
-    # next one the digit rows; both must give scalar Euclid's degrees
-    assert _fits_word(p, largest) and not _fits_word(p, largest + 1)
-    codes = sampled_codes(p, largest, 200, seed=p)
-    packed = _packed_gcd_degree(p, largest, codes).tolist()
-    assert packed == _batched_gcd_degree(*_monic_rows(p, largest, codes), p).tolist()
-    assert packed == [scalar_gcd_degree(p, largest, c) for c in codes.tolist()]
+    # the largest degree whose wide lanes fit one word runs them, and the
+    # next one runs narrow lanes; for p <= 3 these are no narrower, so the
+    # next degree is refused
+    assert not _narrow_lanes(p, largest)
+    assert_matches_scalar_euclid(p, largest, sampled_codes(p, largest, 200, seed=p))
     n = largest + 1
-    codes = sampled_codes(p, n, 300, seed=p)
-    expected = [scalar_gcd_degree(p, n, c) for c in codes.tolist()]
-    assert _gcd_degrees(p, n, codes).tolist() == expected
+    if p <= 3:
+        with pytest.raises(ValueError, match="more than the 64 of a word"):
+            _narrow_lanes(p, n)
+        return
+    assert _narrow_lanes(p, n)
+    assert_matches_scalar_euclid(p, n, sampled_codes(p, n, 300, seed=p))
 
 
-@pytest.mark.parametrize("p, n", [(2, 64), (3163, 2)])
-def test_cells_wider_than_a_word_run_the_digit_rows(p, n):
-    # 65 one-bit lanes, or three 25-bit lanes, do not fit 64 bits
-    assert not _fits_word(p, n)
-    if p > 2:
-        assert _fits_word(p, n - 1)
-    codes = sampled_codes(p, n, 300, seed=n)
-    expected = [scalar_gcd_degree(p, n, c) for c in codes.tolist()]
-    assert _gcd_degrees(p, n, codes).tolist() == expected
+@pytest.mark.parametrize("p, n", [(53, 4), (211, 3), (3163, 2), (4099, 2)])
+def test_narrow_lanes_on_sampled_codes(p, n):
+    # (3163, 2) has three 14-bit lanes, where its wide ones would take 25
+    # bits; 4099 is past _PIECE, so its lanes come from digit arithmetic
+    # rather than run tables
+    assert _narrow_lanes(p, n)
+    assert_matches_scalar_euclid(p, n, sampled_codes(p, n, 300, seed=n))
 
 
-@pytest.mark.parametrize("p, n", [(131, 2), (257, 2), (1009, 2), (10007, 1)])
+@pytest.mark.parametrize("p, n", [(3, 16), (2, 64)])
+def test_cells_wider_than_a_word_are_refused(p, n, monkeypatch):
+    # 17 lanes of 4 bits, or 65 of one bit, do not fit 64 bits; the census
+    # refuses them, within budget, before it builds any table
+    built = []
+    monkeypatch.setattr(fforacle, "_factor_table", lambda *cell: built.append(cell))
+    with pytest.raises(ValueError, match="more than the 64 of a word"):
+        factor_type_census(p, n, budget=p**n)
+    assert built == []
+
+
+def test_default_budget_admits_no_refused_cell():
+    # lane width grows with p, so the largest p with p^n within the budget
+    # is the widest cell of degree n
+    n = 1
+    while 2**n <= DEFAULT_BUDGET:
+        p = round(DEFAULT_BUDGET ** (1 / n))
+        while p**n > DEFAULT_BUDGET:
+            p -= 1
+        while (p + 1) ** n <= DEFAULT_BUDGET:
+            p += 1
+        _narrow_lanes(p, n)
+        n += 1
+
+
+@pytest.mark.parametrize(
+    "p, n", [(131, 2), (257, 2), (1009, 2), (10007, 1), (46349, 1), (1031, 2)]
+)
 def test_vector_census_large_primes(p, n):
-    # digits, their products and the gcd rows must not wrap for p >= 128
+    # the sieve's digits and their products must not wrap for p >= 128;
+    # (46349, 1) and (1031, 2) are the first cells of their degree whose
+    # wide lanes overflow a word
     assert census_vs_theory(p, n, engine="vector").all_ok
 
 
@@ -239,7 +285,6 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
             gdeg[0] = int(gdeg[0] == 0)  # flip the square-free verdict of one row
         return gdeg
 
-    assert fforacle._fits_word(3, 8)
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_one_block)
     with pytest.raises(RuntimeError, match="disagrees with factorization"):
         factor_type_census(3, 8, engine="vector", workers=2)

@@ -286,6 +286,12 @@ def test_cli_usage_errors_exit_two(args):
     assert time.perf_counter() - start < 1, "refusal must come before the work"
 
 
+def test_cli_oracle_refuses_a_cell_wider_than_a_word():
+    res = run_cli("oracle", "--p", "3", "--n", "16", "--budget", "100000000")
+    assert res.exit_code == 2
+    assert "needs 68 bits" in res.output and "more than the 64 of a word" in res.output
+
+
 def test_cli_size_refusal_names_the_limit():
     limit = COMMAND_LIMITS["measure"]
     res = run_cli("measure", "--n", str(limit + 1))
