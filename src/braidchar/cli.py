@@ -288,6 +288,8 @@ def table(name: str, n: int | None, max_n: int | None, fmt: str) -> None:
 @format_option(("text", "json"))
 def verify(suite: str, max_n: int | None, workers: int | None, fmt: str) -> None:
     """Run a verification suite; exits 1 when any check fails."""
+    if workers is not None and suite not in ("oracle", "all"):
+        raise click.UsageError(f"--workers applies to verify oracle|all, not verify {suite}")
     report = run_suite(suite, VerifyLimits(workers=workers).capped(max_n))
     payload = {
         "suite": report.suite,

@@ -13,16 +13,18 @@ the d lower coefficients (the leading 1 is implicit).
 
 Two census engines produce identical tallies:
 
-* a scalar engine that walks candidates one by one with per-polynomial
-  gcd and trial division, exactly as described above, and
-* a vectorized engine (numpy) that runs the same gcd batched over blocks
-  of candidates and replaces per-polynomial trial division by a
-  smallest-irreducible-factor sieve: for each degree d it marks every
-  product g * h with g irreducible of degree <= d/2, and records with it
-  the factorization type and repeated-factor flag of g * h, read from the
-  degree d - e table for h.  This is the same factorization by smallest
-  irreducible divisor, organized to be fast over millions of candidates:
-  a block reads every type and flag as one slice of the degree-n table.
+* a scalar engine, _census_scalar, that walks candidates one by one with
+  per-polynomial gcd and trial division, exactly as described above; it
+  is the tests' independent reference, and
+* a vectorized engine (numpy), the one every census runs, that runs the
+  same gcd batched over blocks of candidates and replaces per-polynomial
+  trial division by a smallest-irreducible-factor sieve: for each degree
+  d it marks every product g * h with g irreducible of degree <= d/2, and
+  records with it the factorization type and repeated-factor flag of
+  g * h, read from the degree d - e table for h.  This is the same
+  factorization by smallest irreducible divisor, organized to be fast over
+  millions of candidates: a block reads every type and flag as one slice
+  of the degree-n table.
 
 The vectorized engine always cross-checks the gcd square-freeness verdict
 against the sieve's repeated-factor flag (a repeated factor must appear
@@ -74,7 +76,6 @@ from .ratpoly import necklace_polynomial, scaled_cycle_polynomial
 PolyCoeffs = tuple[int, ...]
 
 DEFAULT_BUDGET = 10**7
-_SCALAR_CUTOFF = 16  # largest p^n at which the scalar engine was faster, cold process
 _BLOCK = 1 << 18
 _PIECE = 1 << 12  # largest digit-run table of the packed kernel
 
@@ -308,12 +309,10 @@ def factor_type(
 # --- census ----------------------------------------------------------------
 
 
-# The stages whose seconds a census records: the smallest-factor sieve (trial
-# division in the scalar engine), gcd(f, f'), and the cross-check and count.
-# The vector engine sums gcd and tally over its blocks, so with several
-# threads they can exceed the wall time.  Seconds and candidate counts are
-# left out of equality and repr: reports compare and print as before.
-_STAGES = ("sieve", "gcd", "tally")
+# A census records the seconds of three stages: the smallest-factor sieve,
+# gcd(f, f'), and the cross-check and count.  gcd and tally are summed over
+# the blocks, so with several threads they can exceed the wall time.
+# Seconds and candidate counts are left out of equality and repr.
 
 
 @dataclass(frozen=True)
@@ -352,19 +351,14 @@ class CensusReport:
         )
 
 
-def _census_scalar(
-    p: int, n: int, budget: int
-) -> tuple[dict[Partition, int], dict[str, float]]:
-    seconds = dict.fromkeys(_STAGES, 0.0)
-    start = time.perf_counter()
-    irr = enumerate_irreducibles(p, n, budget=budget)
+def _census_scalar(p: int, n: int) -> dict[Partition, int]:
+    """Census counts over partitions(n), one candidate at a time; the tests' reference."""
+    irr = enumerate_irreducibles(p, n)
     counts: dict[Partition, int] = {}
     for code in range(p**n):
         f = poly_from_code(code, n, p)
         factors = factor_list(f, p, irr)
-        sieved = time.perf_counter()
         gcd_squarefree = is_squarefree(f, p)
-        checked = time.perf_counter()
         squarefree = all(m == 1 for _, m in factors)
         if gcd_squarefree != squarefree:
             raise RuntimeError(
@@ -375,12 +369,10 @@ def _census_scalar(
                 sorted((poly_degree(g) for g, _ in factors), reverse=True)
             )
             counts[typ] = counts.get(typ, 0) + 1
-        end = time.perf_counter()
-        seconds["sieve"] += sieved - start
-        seconds["gcd"] += checked - sieved
-        seconds["tally"] += end - checked
-        start = end
-    return counts, seconds
+    ordered = {lam: counts.pop(lam, 0) for lam in partitions(n)}
+    if counts:
+        raise RuntimeError(f"census produced non-partition types: {sorted(counts)}")
+    return ordered
 
 
 # Vectorized engine.  Degree-d tables: for every monic degree-d code, the
@@ -549,7 +541,8 @@ class _PackedTables:
       power of two, so the offset is exact on all 64 bits; 0 and 1 both
       map to offset 0.
     * neg_inv: -1/c mod p at c = 1..p-1, read from a generator, so that
-      no list of p Python ints is formed.
+      no list of p Python ints is formed.  None at n = 1, where f' = 1 and
+      every row leaves the kernel before a Euclid step reads it.
     * spare and subtract: the spare bit of every lane, and for j from the
       top down, p 2^j in every lane with p 2^j itself.  Narrow lanes never
       hold 2p, so they subtract p alone.
@@ -582,8 +575,10 @@ class _PackedTables:
         self.top = (np.uint64(1 << (w * n)), np.uint64((n % p) << (w * (n - 1))))
         bit_length = np.arange(2048) - 1021  # of x, at an exponent e >= 1023
         self.lead = (np.maximum(bit_length - 1, 0) // w * w).astype(np.uint64)
-        inverses = (p - pow(c, -1, p) for c in range(1, p))
-        self.neg_inv = np.fromiter(itertools.chain((0,), inverses), np.uint64, count=p)
+        self.neg_inv = None
+        if n >= 2:
+            inverses = (p - pow(c, -1, p) for c in range(1, p))
+            self.neg_inv = np.fromiter(itertools.chain((0,), inverses), np.uint64, count=p)
         every_lane = sum(1 << (w * i) for i in range(n + 1))
         self.spare = np.uint64(every_lane << (w - 1) if p > 2 else 0)
         top_j = -1 if p == 2 else 0 if narrow else (p - 1).bit_length() - 1
@@ -788,13 +783,11 @@ def factor_type_census(
     *,
     budget: int = DEFAULT_BUDGET,
     workers: int | None = None,
-    engine: str = "auto",
 ) -> FactorTypeTally:
     """Count square-free monic degree-n polynomials over F_p by type.
 
-    ``workers`` is the number of threads of the vector engine, by default
-    the CPU count; cells of at most _SCALAR_CUTOFF candidates run the
-    scalar engine unless ``engine`` says otherwise.
+    Every cell runs the vectorized engine on ``workers`` threads, by
+    default the CPU count; the tests hold it to the scalar _census_scalar.
 
     >>> factor_type_census(3, 2).counts
     {(2,): 3, (1, 1): 3}
@@ -803,20 +796,10 @@ def factor_type_census(
         raise ValueError(f"n must be positive, got {n}")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    required = _candidates(p, n, budget, f"census of degree {n} over F_{p}")
+    _candidates(p, n, budget, f"census of degree {n} over F_{p}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    if engine == "auto":
-        engine = "scalar" if required <= _SCALAR_CUTOFF else "vector"
-    if engine == "scalar":
-        raw, seconds = _census_scalar(p, n, budget)
-    elif engine == "vector":
-        raw, seconds = _census_vector(p, n, workers)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    counts = {lam: raw.pop(lam, 0) for lam in partitions(n)}
-    if raw:
-        raise RuntimeError(f"census produced non-partition types: {sorted(raw)}")
+    counts, seconds = _census_vector(p, n, workers)
     return FactorTypeTally(p, n, counts, sum(counts.values()), seconds)
 
 
@@ -826,7 +809,6 @@ def census_vs_theory(
     *,
     budget: int = DEFAULT_BUDGET,
     workers: int | None = None,
-    engine: str = "auto",
 ) -> CensusReport:
     """Compare the census against cycle polynomial and measure predictions.
 
@@ -834,7 +816,7 @@ def census_vs_theory(
     (for n >= 2) the splitting measure times the square-free total must give
     the same count back.
     """
-    tally = factor_type_census(p, n, budget=budget, workers=workers, engine=engine)
+    tally = factor_type_census(p, n, budget=budget, workers=workers)
     expected_total = p**n - p ** (n - 1) if n >= 2 else p
     rows = []
     for lam in partitions(n):

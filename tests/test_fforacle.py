@@ -1,5 +1,6 @@
 """Finite-field square-free census and its polynomial arithmetic core."""
 
+import functools
 import random
 import sys
 import threading
@@ -96,9 +97,30 @@ def test_census_counts_ordered_canonically():
 def test_engines_agree():
     for p, top in ((2, 8), (3, 5), (5, 3), (7, 2), (11, 3), (13, 3)):
         for n in range(1, top + 1):
-            scalar = factor_type_census(p, n, engine="scalar")
-            vector = factor_type_census(p, n, engine="vector")
-            assert scalar.counts == vector.counts
+            scalar = fforacle._census_scalar(p, n)
+            assert list(scalar.items()) == list(factor_type_census(p, n).counts.items())
+
+
+def test_every_cell_runs_the_vector_engine(monkeypatch):
+    def refuse(p, n):
+        raise AssertionError(f"scalar engine ran on ({p}, {n})")
+
+    monkeypatch.setattr(fforacle, "_census_scalar", refuse)
+    for p, n in ((2, 1), (2, 4), (3, 2), (13, 1)):
+        assert census_vs_theory(p, n).all_ok
+
+
+def test_scalar_reference_raises_on_inconsistent_factors(monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(fforacle, "is_squarefree", lambda f, p: False)
+        with pytest.raises(RuntimeError, match="disagrees with factorization"):
+            fforacle._census_scalar(3, 2)
+    # two copies of an irreducible f of degree 2, each with multiplicity 1,
+    # make the square-free type (2, 2), which is no partition of 2
+    monkeypatch.setattr(fforacle, "factor_list", lambda f, p, irr: [(f, 1), (f, 1)])
+    monkeypatch.setattr(fforacle, "is_squarefree", lambda f, p: True)
+    with pytest.raises(RuntimeError, match=r"non-partition types: \[\(2, 2\)\]"):
+        fforacle._census_scalar(3, 2)
 
 
 @pytest.mark.parametrize("p, d", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3)])
@@ -224,6 +246,13 @@ def test_narrow_lanes_on_sampled_codes(p, n):
     assert_matches_scalar_euclid(p, n, sampled_codes(p, n, 300, seed=n))
 
 
+def test_degree_one_builds_no_inverse_table():
+    # f' = 1 at n = 1, so no Euclid step runs and no inverse is read; from
+    # n = 2 on, the table holds -1/c mod p for every c
+    assert _PackedTables(10007, 1, narrow=False).neg_inv is None
+    assert _PackedTables(10007, 2, narrow=True).neg_inv.size == 10007
+
+
 @pytest.mark.parametrize("p, n", [(3, 16), (2, 64)])
 def test_cells_wider_than_a_word_are_refused(p, n, monkeypatch):
     # 17 lanes of 4 bits, or 65 of one bit, do not fit 64 bits; the census
@@ -256,18 +285,18 @@ def test_vector_census_large_primes(p, n):
     # the sieve's digits and their products must not wrap for p >= 128;
     # (46349, 1) and (1031, 2) are the first cells of their degree whose
     # wide lanes overflow a word
-    assert census_vs_theory(p, n, engine="vector").all_ok
+    assert census_vs_theory(p, n).all_ok
 
 
 def test_workers_match_serial(monkeypatch):
-    serial = factor_type_census(3, 8, engine="vector", workers=1)
+    serial = factor_type_census(3, 8, workers=1)
     # 3^8 = 6561 codes fit one default block; split them into 13 to 103 blocks
     monkeypatch.setattr(fforacle, "_BLOCK", 512)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         for workers in (1, 2, None, 8):
-            parallel = factor_type_census(3, 8, engine="vector", workers=workers)
+            parallel = factor_type_census(3, 8, workers=workers)
             assert serial.counts == parallel.counts, workers
     finally:
         sys.setswitchinterval(interval)
@@ -287,7 +316,7 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
 
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_one_block)
     with pytest.raises(RuntimeError, match="disagrees with factorization"):
-        factor_type_census(3, 8, engine="vector", workers=2)
+        factor_type_census(3, 8, workers=2)
     assert len(corrupted_in) == 1
     assert corrupted_in[0] is not threading.main_thread()
 
@@ -313,14 +342,15 @@ def test_census_vs_theory_reports():
 
 
 def test_census_report_stage_seconds():
-    reports = [census_vs_theory(3, 4, engine=e) for e in ("scalar", "vector")]
-    for report in reports:
-        assert report.candidates == 3**4
-        assert set(report.seconds) == {"sieve", "gcd", "tally"}
-        assert min(report.seconds.values()) >= 0
-        assert "seconds" not in repr(report) and "candidates" not in repr(report)
-    # the timings differ between the engines; equality ignores them
-    assert reports[0] == reports[1]
+    for p, n in ((2, 1), (3, 4)):
+        reports = [census_vs_theory(p, n) for _ in range(2)]
+        for report in reports:
+            assert report.candidates == p**n
+            assert set(report.seconds) == {"sieve", "gcd", "tally"}
+            assert min(report.seconds.values()) >= 0
+            assert "seconds" not in repr(report) and "candidates" not in repr(report)
+        # the timings differ between runs; equality ignores them
+        assert reports[0] == reports[1]
 
 
 def necklace_count(lam, p):
@@ -351,8 +381,6 @@ def test_bad_inputs_rejected():
         factor_type_census(4, 3)
     with pytest.raises(ValueError):
         factor_type_census(2, 0)
-    with pytest.raises(ValueError):
-        factor_type_census(2, 3, engine="quantum")
     for workers in (0, -3):
         with pytest.raises(ValueError, match="workers"):
             factor_type_census(2, 3, workers=workers)
@@ -408,6 +436,13 @@ def test_poly_gcd_divides_both(triple):
         assert poly_degree(rem) < 0
 
 
+@functools.lru_cache(maxsize=None)
+def irreducible_lists(p, n):
+    # (5, 5) takes most of the 200 ms deadline to enumerate, so each list
+    # is built once rather than once per example
+    return enumerate_irreducibles(p, n)
+
+
 @settings(max_examples=60)
 @given(
     p=st.sampled_from((2, 3, 5)),
@@ -417,7 +452,7 @@ def test_poly_gcd_divides_both(triple):
 def test_squarefree_agrees_with_factorization(p, code, n):
     code %= p**n
     f = poly_from_code(code, n, p)
-    lists = enumerate_irreducibles(p, n)
+    lists = irreducible_lists(p, n)
     factors = factor_list(f, p, lists)
     # multiplying the factors back must recover f
     prod = (1,)

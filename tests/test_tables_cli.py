@@ -14,6 +14,7 @@ from braidchar import reference
 from braidchar.cli import main
 from braidchar.partitions import parse_partition
 from braidchar.tables import COMMAND_LIMITS, FORMATS, TABLE_NAMES, emit_table
+from braidchar.verify import SUITE_NAMES
 
 
 def run_cli(*args):
@@ -277,6 +278,8 @@ def test_cli_verify_json():
         ("oracle", "--p", "2", "--n", "3", "--workers", str((os.cpu_count() or 1) + 1)),
         ("oracle", "--p", "2305843009213693951", "--n", "1"),
         ("oracle", "--p", "3", "--n", "100000000"),
+        *(("verify", suite, "--workers", "1")
+          for suite in SUITE_NAMES if suite not in ("oracle", "all")),
     ],
 )
 def test_cli_usage_errors_exit_two(args):
@@ -290,6 +293,14 @@ def test_cli_oracle_refuses_a_cell_wider_than_a_word():
     res = run_cli("oracle", "--p", "3", "--n", "16", "--budget", "100000000")
     assert res.exit_code == 2
     assert "needs 68 bits" in res.output and "more than the 64 of a word" in res.output
+
+
+def test_cli_verify_workers_needs_a_census():
+    res = run_cli("verify", "tables", "--workers", "1")
+    assert res.exit_code == 2
+    assert "--workers applies to verify oracle|all, not verify tables" in res.output
+    for suite in ("oracle", "all"):
+        assert run_cli("verify", suite, "--max-n", "1", "--workers", "1").exit_code == 0
 
 
 def test_cli_size_refusal_names_the_limit():

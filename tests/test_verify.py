@@ -127,8 +127,8 @@ def test_checks_that_compare_nothing_are_skipped():
     for c in report.checks:
         assert c.cells is not None, c.description
         assert c.status == ("SKIP" if c.cells == 0 else "PASS"), c.description
-    assert sum(c.status == "SKIP" for c in report.checks) == 17
-    assert f"{len(report.checks)} checks, 17 skipped, ok" in report.lines()[-1]
+    assert sum(c.status == "SKIP" for c in report.checks) == 19
+    assert f"{len(report.checks)} checks, 19 skipped, ok" in report.lines()[-1]
 
 
 @pytest.mark.parametrize("name", [s for s in SUITE_NAMES if s not in ("oracle", "all")])
@@ -146,7 +146,7 @@ def test_cli_verify_prints_skip_and_exits_zero():
     assert "SKIP stability: k=2 label tails deviate at n=6" in lines
     assert "PASS oracle: census over F_2 degree 1" in lines
     assert "FAIL" not in res.output
-    assert ", 17 skipped, ok (" in lines[-1]
+    assert ", 19 skipped, ok (" in lines[-1]
 
 
 def test_stability_decomposes_nothing_above_the_cap(monkeypatch):
@@ -164,6 +164,23 @@ def test_stability_decomposes_nothing_above_the_cap(monkeypatch):
         report = run_suite("stability", VerifyLimits().capped(cap))
         assert [c.status for c in report.checks] == statuses
         assert max(seen, default=0) <= cap
+
+
+def test_measure_tables_compute_nothing_above_the_cap(monkeypatch):
+    seen = []
+    coefficients = verify.splitting_coefficients
+    monkeypatch.setattr(
+        verify, "splitting_coefficients", lambda lam: seen.append(sum(lam)) or coefficients(lam)
+    )
+    for cap, statuses in ((3, ["SKIP", "SKIP"]), (4, ["PASS", "SKIP"]), (5, ["PASS", "PASS"])):
+        seen.clear()
+        report = run_suite("tables", VerifyLimits().capped(cap))
+        measures = [c for c in report.checks if c.description.startswith("splitting")]
+        assert [c.status for c in measures] == statuses
+        assert max(seen, default=0) <= cap
+    res = CliRunner().invoke(main, ["verify", "tables", "--max-n", "3"])
+    assert res.exit_code == 0, res.output
+    assert "SKIP splitting measure table n=4" in res.output.splitlines()
 
 
 def test_closed_form_description_carries_its_cell_count():
