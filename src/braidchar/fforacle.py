@@ -23,8 +23,8 @@ Two census engines produce identical tallies:
   records with it the factorization type and repeated-factor flag of
   g * h, read from the degree d - e table for h.  This is the same
   factorization by smallest irreducible divisor, organized to be fast over
-  millions of candidates: a block reads every type and flag as one slice
-  of the degree-n table.
+  millions of candidates: the census reads every type and flag as one
+  array of the degree-n table.
 
 The vectorized engine always cross-checks the gcd square-freeness verdict
 against the sieve's repeated-factor flag (a repeated factor must appear
@@ -49,12 +49,17 @@ or (2, 64), is refused with ValueError before any table is built; the
 default budget admits no such cell.  The tests hold the kernel to scalar
 Euclid.
 
-The vectorized census runs its blocks on ``workers`` threads (by default
-the CPU count), which share one set of factor tables built before the
-blocks are dispatched; numpy releases the interpreter lock in the loops
-that do the work.  With w threads each block has _BLOCK // w rows, so
+The vectorized census runs on ``workers`` threads (by default the CPU
+count), never more than it has gcd blocks; numpy releases the interpreter
+lock in the loops that do the work.  The packed kernel's tables are built
+first, on the calling thread.  The factor sieve is then the first task of
+the pool, so that it runs beside the gcd blocks, none of which reads it:
+each block writes its square-free verdicts into its own slice of one
+array, and the calling thread cross-checks and counts the whole array once
+the pool is done.  With one thread, or one block, all of it runs serially
+on the calling thread.  With w threads each block has _BLOCK // w rows, so
 about _BLOCK rows are in flight at any time and peak memory does not grow
-with the number of threads.  There are never more threads than blocks.
+with the number of threads.
 """
 
 from __future__ import annotations
@@ -310,9 +315,10 @@ def factor_type(
 
 
 # A census records the seconds of three stages: the smallest-factor sieve,
-# gcd(f, f'), and the cross-check and count.  gcd and tally are summed over
-# the blocks, so with several threads they can exceed the wall time.
-# Seconds and candidate counts are left out of equality and repr.
+# gcd(f, f'), and the cross-check and count.  gcd is summed over the blocks,
+# and with several threads the sieve runs beside the gcd, so the stages can
+# sum to more than the wall time.  Seconds and candidate counts are left out
+# of equality and repr.
 
 
 @dataclass(frozen=True)
@@ -394,9 +400,9 @@ class _FactorTable:
 def _coeff_dtype(p: int, terms: int = 1) -> np.dtype:
     """Narrowest signed integer dtype that holds terms * (p - 1)^2.
 
-    The sieve's digit rows, the products of their digits with those of an
-    irreducible g and the sums of up to ``terms`` such products all live in
-    this type, so nothing wraps for any p.
+    The sieve's digit rows over odd p, the products of their digits with
+    those of an irreducible g and the sums of up to ``terms`` such products
+    all live in this type, so nothing wraps for any p.
     """
     bound = terms * (p - 1) ** 2
     for dt in (np.int8, np.int16, np.int32):
@@ -438,6 +444,10 @@ def _factor_table(p: int, d: int) -> _FactorTable:
     type is h's with a part e added, and g * h has a repeated factor iff h
     has one or g divides h.  At the last write g is the smallest factor of
     g * h, so g divides h only as h's own smallest factor, h = g included.
+
+    Over F_2 a product has no carries: its code is the XOR of h << j over
+    the set bits j of g, with the implicit x^d of the leading term x^e * h
+    left out.  Over odd p it is summed on digit rows and read back by Horner.
     """
     size = p**d
     types = partitions(d)
@@ -463,21 +473,31 @@ def _factor_table(p: int, d: int) -> _FactorTable:
         hfirst = np.where(htable.sif_deg == e, htable.sif_code, -1)
         if hdeg == e:
             hfirst = np.where(htable.sif_deg == 0, hcodes, hfirst)
-        hfull = np.empty((hdeg + 1, hsize), _coeff_dtype(p))
-        _write_digits(p, hcodes, hfull[:hdeg])
-        hfull[hdeg] = 1
-        prod = np.empty((d, hsize), _coeff_dtype(p, e + 1))
+        if p == 2:
+            hfull = hcodes | hsize  # the code of h with its leading x^hdeg
+            shifted = np.empty_like(hcodes)
+        else:
+            hfull = np.empty((hdeg + 1, hsize), _coeff_dtype(p))
+            _write_digits(p, hcodes, hfull[:hdeg])
+            hfull[hdeg] = 1
+            prod = np.empty((d, hsize), _coeff_dtype(p, e + 1))
         for gc in reversed(_irreducible_codes(p, e).tolist()):
-            prod.fill(0)
-            for j, gj in enumerate(poly_from_code(gc, e, p)):
-                if gj:
-                    top = min(j + hdeg + 1, d)
-                    prod[j:top] += gj * hfull[: top - j]
-            _reduce(prod, p)
-            codes = prod[d - 1].astype(code_dtype)
-            for row in prod[d - 2 :: -1]:
-                codes *= p
-                codes += row
+            if p == 2:
+                codes = hcodes << e
+                for j in range(e):
+                    if gc >> j & 1:
+                        codes ^= np.left_shift(hfull, j, out=shifted)
+            else:
+                prod.fill(0)
+                for j, gj in enumerate(poly_from_code(gc, e, p)):
+                    if gj:
+                        top = min(j + hdeg + 1, d)
+                        prod[j:top] += gj * hfull[: top - j]
+                _reduce(prod, p)
+                codes = prod[d - 1].astype(code_dtype)
+                for row in prod[d - 2 :: -1]:
+                    codes *= p
+                    codes += row
             sif_deg[codes] = e
             sif_code[codes] = gc
             ftype[codes] = htype
@@ -733,48 +753,51 @@ def _packed_gcd_degree(p: int, n: int, codes: np.ndarray) -> np.ndarray:
     raise RuntimeError("batched gcd failed to converge")
 
 
-def _census_block(p: int, n: int, lo: int, hi: int) -> tuple[np.ndarray, float, float]:
-    """Count per type index of the square-free codes in [lo, hi), cross-checked.
-
-    Also returns the seconds spent in the gcd and in the check and count.
-    """
+def _timed(task, *args) -> tuple[object, float]:
     start = time.perf_counter()
-    gdeg = _packed_gcd_degree(p, n, np.arange(lo, hi, dtype=np.int64))
-    gcd_done = time.perf_counter()
-    table = _factor_table(p, n)
-    if not np.array_equal(table.repeated[lo:hi], gdeg > 0):
-        raise RuntimeError(
-            f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
-        )
-    counts = np.bincount(table.ftype[lo:hi][gdeg == 0], minlength=len(partitions(n)))
-    return counts, gcd_done - start, time.perf_counter() - gcd_done
+    return task(*args), time.perf_counter() - start
 
 
 def _census_vector(
     p: int, n: int, workers: int | None
 ) -> tuple[dict[Partition, int], dict[str, float]]:
-    # every table the blocks read is built here, so the threads only read
-    # them; the gcd tables come first, as they refuse a cell too wide for a word
-    start = time.perf_counter()
-    _packed_tables(p, n)
-    tabled = time.perf_counter()
-    _factor_table(p, n)
-    seconds = {"sieve": time.perf_counter() - tabled, "gcd": tabled - start}
+    # the gcd tables are built first, on this thread, so that a cell too wide
+    # for a word is refused before any factor table is built
+    _, setup = _timed(_packed_tables, p, n)
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
     total = p**n
     bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
     threads = min(threads, len(bounds))
+    repeated = np.empty(total, bool)
+
+    def gcd_block(lo: int, hi: int) -> None:
+        # each block writes its own slice of repeated, so no two threads
+        # write the same entry
+        codes = np.arange(lo, hi, dtype=np.int64)
+        np.greater(_packed_gcd_degree(p, n, codes), 0, out=repeated[lo:hi])
+
+    # the sieve is the first task, so that on a pool it runs beside the gcd blocks
+    tasks = [(_factor_table, p, n)] + [(gcd_block, lo, hi) for lo, hi in bounds]
     if threads == 1:
-        parts = [_census_block(p, n, lo, hi) for lo, hi in bounds]
+        results = [_timed(*task) for task in tasks]
     else:
         with ThreadPoolExecutor(threads) as pool:
-            parts = list(pool.map(lambda b: _census_block(p, n, *b), bounds))
+            futures = [pool.submit(_timed, *task) for task in tasks]
+        results = [future.result() for future in futures]
+    (table, sieve_seconds), *blocks = results
     start = time.perf_counter()
-    counts = dict(zip(partitions(n), sum(c for c, _, _ in parts).tolist()))
-    seconds["gcd"] += sum(g for _, g, _ in parts)
-    seconds["tally"] = sum(t for _, _, t in parts) + time.perf_counter() - start
-    return counts, seconds
+    if not np.array_equal(table.repeated, repeated):
+        raise RuntimeError(
+            f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
+        )
+    counts = np.bincount(table.ftype[~repeated], minlength=len(partitions(n)))
+    seconds = {
+        "sieve": sieve_seconds,
+        "gcd": setup + sum(s for _, s in blocks),
+        "tally": time.perf_counter() - start,
+    }
+    return dict(zip(partitions(n), counts.tolist())), seconds
 
 
 def factor_type_census(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 from numbers import Rational
 
@@ -49,21 +49,26 @@ class SplittingMeasure:
         giving the measure of a single permutation of cycle type lam.
         """
         z = Fraction(z)
+        data = class_data(self.partition)
         if z == 0:
             if any(self.alpha[1:]):
                 raise ValueError("pole at z = 0")
             total = self.alpha[0]
         else:
-            w = 1 / z
-            total = Fraction(0)
-            for a in reversed(self.alpha):
-                total = total * w + a
+            # in integers: with z = r/s and c_k = z_lam alpha_k the value is
+            # sum_k c_k s^k r^(n-1-k) / (z_lam r^(n-1)), one Fraction formed
+            r, s = z.numerator, z.denominator
+            num, r_power = 0, 1
+            for c in reversed(self._scaled):
+                num = num * s + c * r_power
+                r_power *= r
+            total = Fraction(num, data.centralizer_order * r ** (len(self.alpha) - 1))
         if per_element:
-            total /= class_data(self.partition).class_size
+            total /= data.class_size
         return total
 
-    def scaled_coefficients(self) -> tuple[int, ...]:
-        """alpha scaled by the centralizer order z_lam; always integers."""
+    @cached_property
+    def _scaled(self) -> tuple[int, ...]:
         z_lam = class_data(self.partition).centralizer_order
         out = []
         for a in self.alpha:
@@ -74,6 +79,10 @@ class SplittingMeasure:
                 )
             out.append(int(v))
         return tuple(out)
+
+    def scaled_coefficients(self) -> tuple[int, ...]:
+        """alpha scaled by the centralizer order z_lam; always integers."""
+        return self._scaled
 
 
 def splitting_coefficients(lam: Partition) -> SplittingMeasure:

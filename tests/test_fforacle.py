@@ -143,6 +143,28 @@ def test_factor_table_matches_trial_division(p, d):
         assert got == (poly_degree(g), poly_to_code(g, p)), (p, code)
 
 
+def test_f2_products_match_trial_division_on_sampled_codes():
+    # (2, 20) is past the exhaustive cells; half the sample has a squared
+    # linear factor, so repeated flags and smallest factors of both kinds occur
+    table = fforacle._factor_table(2, 20)
+    irr = enumerate_irreducibles(2, 10)
+    codes = sampled_codes(2, 20, 2000, seed=20)
+    assert table.repeated[codes].sum() >= 1000
+    for code in codes.tolist():
+        f = poly_from_code(code, 20, 2)
+        factors = factor_list(f, 2, irr)
+        assert partitions(20)[table.ftype[code]] == factor_type(f, 2, irr), code
+        assert table.repeated[code] == any(m > 1 for _, m in factors), code
+        g, _ = factors[0]
+        if poly_degree(g) == 20:
+            assert table.sif_deg[code] == 0, code
+            continue
+        assert (table.sif_deg[code], table.sif_code[code]) == (
+            poly_degree(g),
+            poly_to_code(g, 2),
+        ), code
+
+
 def scalar_gcd_degree(p, n, code):
     """deg gcd(f, f') for the monic degree-n f of this code, by scalar Euclid."""
     f = poly_from_code(code, n, p)
@@ -288,6 +310,11 @@ def test_vector_census_large_primes(p, n):
     assert census_vs_theory(p, n).all_ok
 
 
+def clear_factor_tables():
+    fforacle._factor_table.cache_clear()
+    fforacle._irreducible_codes.cache_clear()
+
+
 def test_workers_match_serial(monkeypatch):
     serial = factor_type_census(3, 8, workers=1)
     # 3^8 = 6561 codes fit one default block; split them into 13 to 103 blocks
@@ -296,10 +323,48 @@ def test_workers_match_serial(monkeypatch):
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
         for workers in (1, 2, None, 8):
+            # cold tables, so that the sieve runs beside the gcd blocks
+            clear_factor_tables()
             parallel = factor_type_census(3, 8, workers=workers)
             assert serial.counts == parallel.counts, workers
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_workers_bound_the_threads(monkeypatch):
+    clear_factor_tables()
+    sieve, kernel = fforacle._factor_table, fforacle._packed_gcd_degree
+    ran_on = []
+
+    def record(task):
+        def wrapper(*args):
+            ran_on.append(threading.get_ident())
+            return task(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(fforacle, "_factor_table", record(sieve))
+    monkeypatch.setattr(fforacle, "_packed_gcd_degree", record(kernel))
+    factor_type_census(3, 8, workers=1)
+    assert ran_on and set(ran_on) == {threading.main_thread().ident}
+
+    sieve.cache_clear()
+    fforacle._irreducible_codes.cache_clear()
+    ran_on.clear()
+    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 26 blocks of 256 codes
+    factor_type_census(3, 8, workers=2)
+    assert len(ran_on) > 26
+    assert len(set(ran_on)) <= 2
+
+
+def test_sieve_failure_in_a_thread_reaches_caller(monkeypatch):
+    clear_factor_tables()
+    threads_before = threading.active_count()
+    monkeypatch.setattr(fforacle, "necklace_polynomial", lambda d: RatPoly((-1,)))
+    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 26 blocks of 256 codes on 2 threads
+    with pytest.raises(RuntimeError, match=r"irreducible count .* expected M_\d+\(3\)"):
+        factor_type_census(3, 8, workers=2)
+    assert threading.active_count() == threads_before
 
 
 def test_worker_thread_failure_reaches_caller(monkeypatch):

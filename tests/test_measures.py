@@ -147,3 +147,26 @@ def test_measure_equals_cycle_polynomial_ratio(n, index, z):
     lam = lams[index % len(lams)]
     expected = cycle_polynomial(lam)(z) / (z**n - z ** (n - 1))
     assert measure_value(lam, z) == expected
+
+
+def horner_value(m, z, per_element=False):
+    """A frozen copy of SplittingMeasure.value by Fraction Horner in 1/z."""
+    w = 1 / Fraction(z)
+    total = Fraction(0)
+    for a in reversed(m.alpha):
+        total = total * w + a
+    if per_element:
+        total /= class_data(m.partition).class_size
+    return total
+
+
+def test_integer_value_matches_fraction_horner():
+    points = [Fraction(2), Fraction(-1), Fraction(-1, 3), Fraction(1, 2), Fraction(7, 2)]
+    for n in range(1, 13):
+        for lam in partitions(n):
+            m = splitting_coefficients(lam)
+            for z in points:
+                for per_element in (False, True):
+                    got = m.value(z, per_element)
+                    assert type(got) is Fraction
+                    assert got == horner_value(m, z, per_element), (lam, z, per_element)
