@@ -67,7 +67,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Sequence
@@ -784,7 +784,12 @@ def _census_vector(
     else:
         with ThreadPoolExecutor(threads) as pool:
             futures = [pool.submit(_timed, *task) for task in tasks]
-        results = [future.result() for future in futures]
+            # on the first failure, the tasks not yet started are dropped
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for future in futures:
+                future.cancel()
+        # a failure is raised here; nothing was dropped unless something failed
+        results = [future.result() for future in futures if not future.cancelled()]
     (table, sieve_seconds), *blocks = results
     start = time.perf_counter()
     if not np.array_equal(table.repeated, repeated):

@@ -1,25 +1,34 @@
 """Irreducible characters of S_n and decomposition of class functions.
 
-The whole character table of S_n is built once per n, as integer rows, by
-the Murnaghan-Nakayama rule: chi^mu(lam) is the signed sum, over the border
-strips of length t = lam[0] in mu, of chi^(mu - strip)(lam[1:]), read from
-the table of S_(n-t).  Border strips are found on first-column hook lengths
-(beta sets): removing a strip of length t from mu is moving some beta
-number b down to b - t, the sign being (-1)^(number of beta numbers jumped
-over).
+The whole character table of S_n is built once per n, as one int64 array,
+by the Murnaghan-Nakayama rule: chi^mu(lam) is the signed sum, over the
+border strips of length t = lam[0] in mu, of chi^(mu - strip)(lam[1:]),
+read from the table of S_(n-t).  The columns with lam[0] = t form one
+block, so each strip length t costs one gather of signed rows of the
+degree n - t array and one scatter-add into that block.
 
-Dimensions come independently from the hook length formula, and any
-rational class function is decomposed into irreducibles by integer dot
-products of its class-size-weighted values with the table rows.
+Every partial sum of the rule has at most n terms of at most sqrt((n-1)!)
+in absolute value, which is below 2^63 up to n = 32 and above it from
+n = 33; so the tables, and everything built on them, are refused (with
+ValueError) for n > 32 before anything is built.
+
+Dimensions come independently from the hook length formula.  A rational
+class function is decomposed into irreducibles by exact dot products of
+its class-size-weighted values with the table rows: the Python-int weights
+are cut into limbs narrow enough that no int64 sum can wrap, each limb
+goes through the int64 table, and the limbs are recombined in Python ints.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, lcm
-from operator import add, mul, sub
+from math import factorial, frexp, lcm
+from typing import Iterator
+
+import numpy as np
 
 from .characters import ClassFunction
 from .partitions import (
@@ -51,35 +60,33 @@ def irrep_dimension(mu: Partition) -> int:
     return dim
 
 
-def _beta_set(mu: Partition) -> tuple[int, ...]:
+#: Largest degree whose Murnaghan-Nakayama partial sums fit int64.
+_MAX_DEGREE = 32
+
+
+def _border_strips(mu: Partition) -> Iterator[tuple[int, int, Partition]]:
+    """(t, sign, nu) for every border strip of mu: its length, sign and mu - strip.
+
+    The strips are the rims of the hooks.  The hook at box (i, j) reaches
+    down to row k, the last row longer than j, and has length
+    t = mu[i] - j + k - i.  On beta numbers its strip moves the bead of
+    row i down t places, past the k - i beads of rows i+1..k, so the sign
+    is (-1)^(k - i).  Those rows each move up one row and lose one box,
+    and then comes the one new part, j (none if 0).
+    """
     length = len(mu)
-    return tuple(mu[i] + length - 1 - i for i in range(length))
-
-
-def _shape_from_beta(beta: list[int]) -> Partition:
-    # beta strictly decreasing; shift out the staircase and drop zero parts
-    length = len(beta)
-    return tuple(
-        p for i, b in enumerate(beta) if (p := b - (length - 1 - i)) > 0
-    )
-
-
-def _border_strips(mu: Partition) -> dict[int, list[tuple[int, Partition]]]:
-    """Border strips of mu by length t: (sign, mu with the strip removed)."""
-    beta = _beta_set(mu)
-    held = set(beta)
-    strips: dict[int, list[tuple[int, Partition]]] = {}
-    for i, b in enumerate(beta):
-        jumped = 0
-        for nb in range(b - 1, -1, -1):
-            if nb in held:
-                jumped += 1
-                continue
-            nbeta = sorted(beta[:i] + beta[i + 1 :] + (nb,), reverse=True)
-            strips.setdefault(b - nb, []).append(
-                (-1 if jumped % 2 else 1, _shape_from_beta(nbeta))
-            )
-    return strips
+    less = tuple(p - 1 for p in mu)
+    longer = sum(1 for p in mu if p > 1)  # less[:longer] has no zero part
+    for i, row in enumerate(mu):
+        head = mu[:i]
+        k = i
+        for j in range(row - 1, 0, -1):
+            while k + 1 < length and mu[k + 1] > j:
+                k += 1
+            nu = head + less[i + 1 : k + 1] + (j,) + mu[k + 1 :]
+            yield row - j + k - i, -1 if (k - i) % 2 else 1, nu
+        k = length - 1
+        yield row + k - i, -1 if (k - i) % 2 else 1, head + less[i + 1 : longer]
 
 
 @cache
@@ -88,39 +95,91 @@ def _position(n: int) -> dict[Partition, int]:
 
 
 @cache
+def _table(n: int) -> np.ndarray:
+    """The character table of S_n as a p(n) x p(n) int64 array.
+
+    Building it builds (and keeps) the tables of every smaller degree.
+    """
+    if n > _MAX_DEGREE:
+        raise ValueError(
+            f"the character table of S_{n} does not fit int64; "
+            f"n must be at most {_MAX_DEGREE}"
+        )
+    if n == 0:
+        return np.ones((1, 1), np.int64)
+    parts = partitions(n)
+    positions = [_position(n - t) for t in range(n + 1)]
+    # one row per strip of every mu: its length t, the row of mu, the sign,
+    # and the row of mu - strip in the degree n - t table; sorted by t,
+    # and by the row of mu within each t
+    strips = np.array(
+        [
+            (t, r, sign, positions[t][nu])
+            for r, mu in enumerate(parts)
+            for t, sign, nu in _border_strips(mu)
+        ],
+        np.int64,
+    )
+    strips = strips[np.argsort(strips[:, 0], kind="stable")]
+    ends = np.searchsorted(strips[:, 0], np.arange(n + 2)).tolist()
+    table = np.zeros((len(parts), len(parts)), np.int64)
+    # The columns lam with lam[0] = t form one block, for t = n down to 1.
+    # Across a block lam[1:] runs, in order, over the partitions of n - t
+    # with first part at most t: the last `width` rows of the n - t table.
+    widths = Counter(lam[0] for lam in parts)
+    col = 0
+    for t in range(n, 0, -1):
+        width = widths[t]
+        _, rows, signs, sources = strips[ends[t] : ends[t + 1]].T
+        smaller = _table(n - t)
+        tails = smaller[sources, len(smaller) - width :] * signs[:, None]
+        firsts = np.flatnonzero(np.diff(rows, prepend=-1))
+        table[rows[firsts], col : col + width] = np.add.reduceat(tails, firsts)
+        col += width
+    return table
+
+
+def _exact_products(matrix: np.ndarray, weights: list[int]) -> list[int]:
+    """matrix @ weights in Python ints, for an int64 matrix and int weights.
+
+    Each weight is cut into limbs of `bits` bits, two's complement: the
+    low limbs lie in [0, 2^bits) and the top one, which carries the sign,
+    in [-2^bits, 2^bits).  All the limbs go through one int64 matrix
+    product.  With S the largest row sum of |matrix|, S * 2^bits < 2^63,
+    so no int64 sum can wrap: S is summed in float64, within a factor
+    1 + 2^-38 of exact, and bits leaves one bit for that.  A matrix whose
+    row sums leave no bit at all is summed in two halves of its columns.
+    """
+    bound = np.abs(matrix).sum(axis=1, dtype=np.float64).max(initial=0.0)
+    bits = 62 - frexp(bound)[1]
+    if bits < 1:
+        half = matrix.shape[1] // 2
+        left = _exact_products(matrix[:, :half], weights[:half])
+        right = _exact_products(matrix[:, half:], weights[half:])
+        return [a + b for a, b in zip(left, right)]
+    mask = (1 << bits) - 1
+    top = max(abs(w) for w in weights).bit_length() // bits * bits
+    limbs = [[w >> s & mask for w in weights] for s in range(0, top, bits)]
+    limbs.append([w >> top for w in weights])
+    *low, total = (matrix @ np.array(limbs, np.int64).T).T.tolist()
+    for products in reversed(low):  # Horner from the top limb down
+        total = [(t << bits) + x for t, x in zip(total, products)]
+    return total
+
+
+@cache
 def character_table(n: int) -> tuple[tuple[int, ...], ...]:
     """The irreducible characters of S_n as integer rows.
 
     Entry [i][j] is chi^mu(lam) for the i-th mu and the j-th lam of
-    partitions(n).  Building it builds (and keeps) the tables of every
-    smaller degree, about p(n)^2 integers for n.
+    partitions(n).  It is read once from the int64 table, which keeps the
+    tables of every smaller degree.  Degrees n > 32, whose tables do not
+    fit int64, are refused with ValueError before anything is built.
 
     >>> character_table(3)
     ((1, 1, 1), (-1, 0, 2), (1, -1, 1))
     """
-    if n == 0:
-        return ((1,),)
-    parts = partitions(n)
-    # The columns lam with lam[0] = t form one block, for t = n down to 1.
-    # Across a block lam[1:] runs, in order, over the partitions of n - t
-    # with first part at most t: the tail of partitions(n - t) from `start`.
-    blocks = []
-    for t in range(n, 0, -1):
-        width = sum(1 for lam in parts if lam[0] == t)
-        smaller = character_table(n - t)
-        blocks.append((t, len(smaller) - width, _position(n - t), smaller))
-    rows = []
-    for mu in parts:
-        strips = _border_strips(mu)
-        row: list[int] = []
-        for t, start, position, smaller in blocks:
-            block = [0] * (len(smaller) - start)
-            for sign, nu in strips.get(t, ()):
-                peeled = smaller[position[nu]][start:]
-                block = list(map(add if sign > 0 else sub, block, peeled))
-            row += block
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(map(tuple, _table(n).tolist()))
 
 
 def irreducible_character_value(mu: Partition, lam: Partition) -> int:
@@ -134,16 +193,17 @@ def irreducible_character_value(mu: Partition, lam: Partition) -> int:
     n = sum(mu)
     if n != sum(lam):
         raise ValueError(f"{mu} and {lam} are partitions of different integers")
+    table = _table(n)
     position = _position(n)
-    return character_table(n)[position[mu]][position[lam]]
+    return int(table[position[mu], position[lam]])
 
 
 @cache
 def irreducible_character(mu: Partition) -> ClassFunction:
-    """chi^mu as a class function on S_n, n = |mu|."""
+    """chi^mu as a class function on S_n, n = |mu|; n > 32 is refused (ValueError)."""
     mu = check_partition(mu)
     n = sum(mu)
-    row = character_table(n)[_position(n)[mu]]
+    row = _table(n)[_position(n)[mu]].tolist()
     return ClassFunction(n, dict(zip(partitions(n), row)))
 
 
@@ -178,12 +238,10 @@ class IrrepDecomposition:
         return dict(self.terms)
 
     def as_class_function(self) -> ClassFunction:
+        table = _table(self.n)
         parts = partitions(self.n)
         mult = dict(self.terms)
-        values = [0] * len(parts)
-        for mu, row in zip(parts, character_table(self.n)):
-            if mu in mult:
-                values = [v + mult[mu] * x for v, x in zip(values, row)]
+        values = _exact_products(table.T, [mult.get(mu, 0) for mu in parts])
         return ClassFunction(self.n, dict(zip(parts, values)))
 
     def tail_multiset(self) -> dict[Partition, int]:
@@ -212,23 +270,27 @@ def decompose(f: ClassFunction, virtual: bool = False) -> IrrepDecomposition:
     """Write a rational class function as a sum of irreducibles.
 
     Multiplicities must come out integral, and nonnegative unless
-    virtual=True allows formal differences of representations.
+    virtual=True allows formal differences of representations.  Each one
+    is an exact dot product of the table row with the class-size-weighted
+    values, which may be of any size.  Degrees n > 32, whose tables do not
+    fit int64, are refused with ValueError before anything is built.
 
     >>> from braidchar.characters import braid_character
     >>> str(decompose(braid_character(4, 1)))
     '[4] + [3,1] + [2,2]'
     """
+    table = _table(f.n)
     parts = partitions(f.n)
     values = [f.values[lam] for lam in parts]
     # clear denominators once, so each multiplicity is an integer dot product
     scale = lcm(*(v.denominator for v in values))
     weighted = [
-        int(class_data(lam).class_size * v * scale) for lam, v in zip(parts, values)
+        class_data(lam).class_size * v.numerator * (scale // v.denominator)
+        for lam, v in zip(parts, values)
     ]
     order = factorial(f.n) * scale
     terms = []
-    for mu, row in zip(parts, character_table(f.n)):
-        total = sum(map(mul, row, weighted))
+    for mu, total in zip(parts, _exact_products(table, weighted)):
         if total % order:
             raise ArithmeticError(
                 f"multiplicity of {mu} is not an integer: {Fraction(total, order)}; "

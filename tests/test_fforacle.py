@@ -362,9 +362,19 @@ def test_sieve_failure_in_a_thread_reaches_caller(monkeypatch):
     threads_before = threading.active_count()
     monkeypatch.setattr(fforacle, "necklace_polynomial", lambda d: RatPoly((-1,)))
     monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 26 blocks of 256 codes on 2 threads
+    kernel = fforacle._packed_gcd_degree
+    blocks_run = []
+
+    def counted(p, n, codes):
+        blocks_run.append(codes[0])
+        return kernel(p, n, codes)
+
+    monkeypatch.setattr(fforacle, "_packed_gcd_degree", counted)
     with pytest.raises(RuntimeError, match=r"irreducible count .* expected M_\d+\(3\)"):
         factor_type_census(3, 8, workers=2)
     assert threading.active_count() == threads_before
+    # the blocks not yet started when the sieve failed never ran
+    assert len(blocks_run) < 26
 
 
 def test_worker_thread_failure_reaches_caller(monkeypatch):

@@ -1,12 +1,16 @@
 """Irreducible characters, dimensions, and decomposition of class functions."""
 
+import random
 import re
 from fractions import Fraction
 from functools import cache
 from math import factorial
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from braidchar import specht
 from braidchar.characters import (
     ClassFunction,
     a_character,
@@ -103,6 +107,44 @@ def test_character_table_matches_reference_recursion(n):
     assert len(table) == len(parts)
     for mu, row in zip(parts, table):
         assert row == tuple(_ref_mn(mu, lam) for lam in parts)
+
+
+def test_character_table_24_sampled_against_reference():
+    # near the CLI limit: a grid of entries against the per-value recursion,
+    # and the sum of squared dimensions against the group order
+    parts = partitions(24)
+    table = character_table(24)
+    for i in range(0, len(parts), 131):
+        for j in range(0, len(parts), 157):
+            assert table[i][j] == _ref_mn(parts[i], parts[j])
+    assert sum(row[-1] ** 2 for row in table) == factorial(24)
+
+
+def test_degree_past_int64_refused_before_anything_is_built(monkeypatch):
+    def no_table(mu):
+        raise AssertionError(f"a table was built (border strips of {mu})")
+
+    monkeypatch.setattr(specht, "_border_strips", no_table)
+    calls = (
+        lambda: character_table(33),
+        lambda: irreducible_character((33,)),
+        lambda: irreducible_character_value((33,), (33,)),
+        lambda: decompose(SimpleNamespace(n=33)),  # it reads the degree first
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="S_33 does not fit int64; n must be at most 32"):
+            call()
+
+
+def test_values_are_python_ints():
+    for n in range(0, 9):
+        assert all(type(x) is int for row in character_table(n) for x in row)
+        for mu in partitions(n):
+            assert all(type(v) is int for v in irreducible_character(mu).values.values())
+            assert type(irreducible_character_value(mu, mu)) is int
+    dec = decompose(ClassFunction.regular(8) - 2 * ClassFunction.sign(8), virtual=True)
+    assert all(type(m) is int for _, m in dec.terms)
+    assert all(type(v) is int for v in dec.as_class_function().values.values())
 
 
 def test_character_table_identity_column_is_hook_dimension():
@@ -252,6 +294,63 @@ def test_virtual_decomposition():
     assert dec.as_dict() == {(4,): 1, (1, 1, 1, 1): -1}
     assert not dec.genuine
     assert str(dec) == "[4] - [1,1,1,1]"
+
+
+# Frozen reference: the Python-int dot products that decompose used before
+# its limb products, one row of the tuple table at a time.
+def _ref_decomposition(f):
+    parts = partitions(f.n)
+    weighted = [class_data(lam).class_size * f(lam) for lam in parts]
+    out = {}
+    for mu, row in zip(parts, character_table(f.n)):
+        m = Fraction(sum(x * w for x, w in zip(row, weighted))) / factorial(f.n)
+        assert m.denominator == 1
+        if m:
+            out[mu] = int(m)
+    return out
+
+
+def test_decompose_weights_far_past_int64():
+    # weights up to about 3^90 * 12!/12, some negative, on every class: a
+    # product in one int64 limb would wrap or refuse
+    n = 12
+    f = (
+        10**40 * ClassFunction.regular(n)
+        + 7**50 * ClassFunction.trivial(n)
+        - 3**90 * ClassFunction.sign(n)
+    )
+    expected = {mu: 10**40 * irrep_dimension(mu) for mu in partitions(n)}
+    expected[(n,)] += 7**50
+    expected[(1,) * n] -= 3**90
+    dec = decompose(f, virtual=True)
+    assert dec.as_dict() == _ref_decomposition(f) == expected
+    assert all(type(m) is int for _, m in dec.terms)
+
+
+def test_as_class_function_with_huge_multiplicities():
+    n = 12
+    parts = partitions(n)
+    terms = tuple((mu, (-1) ** i * 10 ** (30 + i)) for i, mu in enumerate(parts))
+    dec = IrrepDecomposition(n, terms)
+    f = dec.as_class_function()
+    table = character_table(n)
+    for j, lam in enumerate(parts):
+        assert f(lam) == sum(m * table[i][j] for i, (_, m) in enumerate(terms))
+        assert type(f(lam)) is int
+    assert decompose(f, virtual=True) == dec
+
+
+def test_exact_products_past_int64_row_sums():
+    # row sums of |matrix| near 2^63 leave no limb bit, so the columns are
+    # summed in halves (the transposed table of S_31 and S_32 is such a case)
+    rng = random.Random(5)
+    rows = [
+        [rng.choice((-1, 1)) * rng.randrange(2**59, 2**60) for _ in range(9)]
+        for _ in range(4)
+    ]
+    weights = [rng.randrange(-(10**30), 10**30) for _ in range(9)]
+    got = specht._exact_products(np.array(rows, np.int64), weights)
+    assert got == [sum(x * w for x, w in zip(row, weights)) for row in rows]
 
 
 def test_decompose_fraction_valued_class_function():
