@@ -18,13 +18,12 @@ Two census engines produce identical tallies:
   is the tests' independent reference, and
 * a vectorized engine (numpy), the one every census runs, that runs the
   same gcd batched over blocks of candidates and replaces per-polynomial
-  trial division by a smallest-irreducible-factor sieve: for each degree
-  d it marks every product g * h with g irreducible of degree <= d/2, and
-  records with it the factorization type and repeated-factor flag of
-  g * h, read from the degree d - e table for h.  This is the same
-  factorization by smallest irreducible divisor, organized to be fast over
-  millions of candidates: the census reads every type and flag as one
-  array of the degree-n table.
+  trial division by a factor sieve: for each degree d and each irreducible
+  g of degree e <= d/2 it writes the factorization type of every product
+  g * h, that of h (read from the degree d - e table) with a part e added,
+  and flags every multiple g^2 * k as having a repeated factor.  The
+  writes may come in any order, since each one writes the same value; the
+  census reads every type and flag as one array of the degree-n table.
 
 The vectorized engine always cross-checks the gcd square-freeness verdict
 against the sieve's repeated-factor flag (a repeated factor must appear
@@ -70,7 +69,7 @@ import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -314,7 +313,7 @@ def factor_type(
 # --- census ----------------------------------------------------------------
 
 
-# A census records the seconds of three stages: the smallest-factor sieve,
+# A census records the seconds of three stages: the factor sieve,
 # gcd(f, f'), and the cross-check and count.  gcd is summed over the blocks,
 # and with several threads the sieve runs beside the gcd, so the stages can
 # sum to more than the wall time.  Seconds and candidate counts are left out
@@ -381,27 +380,21 @@ def _census_scalar(p: int, n: int) -> dict[Partition, int]:
     return ordered
 
 
-# Vectorized engine.  Degree-d tables: for every monic degree-d code, the
-# degree and code of its smallest irreducible factor (degree 0 meaning the
-# polynomial is itself irreducible), its factorization type as an index into
-# partitions(d), and whether it has a repeated factor.
+# Vectorized engine.  Degree-d tables: for every monic degree-d code, its
+# factorization type as an index into partitions(d), and whether it has a
+# repeated factor.
 
 
-class _FactorTable:
-    __slots__ = ("sif_deg", "sif_code", "ftype", "repeated")
-
-    def __init__(self, sif_deg, sif_code, ftype, repeated):
-        self.sif_deg = sif_deg
-        self.sif_code = sif_code
-        self.ftype = ftype
-        self.repeated = repeated
+class _FactorTable(NamedTuple):
+    ftype: np.ndarray
+    repeated: np.ndarray
 
 
 def _coeff_dtype(p: int, terms: int = 1) -> np.dtype:
     """Narrowest signed integer dtype that holds terms * (p - 1)^2.
 
     The sieve's digit rows over odd p, the products of their digits with
-    those of an irreducible g and the sums of up to ``terms`` such products
+    those of a multiplier and the sums of up to ``terms`` such products
     all live in this type, so nothing wraps for any p.
     """
     bound = terms * (p - 1) ** 2
@@ -430,85 +423,89 @@ def _write_digits(p: int, codes: np.ndarray, out: np.ndarray) -> None:
         c = q
 
 
+def _products(p: int, d: int, hdeg: int) -> Callable[[PolyCoeffs], np.ndarray]:
+    """times(g): the codes of g * h for every monic h of degree hdeg, in h's order.
+
+    g is a monic coefficient tuple of degree d - hdeg.  Over F_2 a product
+    has no carries: its code is h << (d - hdeg), which leaves out the x^d of
+    the leading term, XORed with h << j over the set bits j of g below its
+    leading one.  Over odd p it is summed on digit rows, reduced mod p and
+    read back by one dot product with the powers of p.
+    """
+    hsize = p**hdeg
+    code_dtype = np.int32 if p**d <= np.iinfo(np.int32).max else np.int64
+    hcodes = np.arange(hsize, dtype=code_dtype)
+    if p == 2:
+        hfull = hcodes | hsize  # the code of h with its leading x^hdeg
+        shifted = np.empty_like(hcodes)
+
+        def times(g: PolyCoeffs) -> np.ndarray:
+            codes = hcodes << (d - hdeg)
+            for j, gj in enumerate(g[:-1]):
+                if gj:
+                    codes ^= np.left_shift(hfull, j, out=shifted)
+            return codes
+
+        return times
+    # row i of hfull (of prod) is the x^i coefficient of every h (of every
+    # product g * h below x^d), so each row is contiguous
+    hfull = np.empty((hdeg + 1, hsize), _coeff_dtype(p))
+    _write_digits(p, hcodes, hfull[:hdeg])
+    hfull[hdeg] = 1
+    prod = np.empty((d, hsize), _coeff_dtype(p, d - hdeg + 1))
+    powers = p ** np.arange(d, dtype=code_dtype)
+
+    def times(g: PolyCoeffs) -> np.ndarray:
+        prod.fill(0)
+        for j, gj in enumerate(g):
+            if gj:
+                top = min(j + hdeg + 1, d)
+                prod[j:top] += gj * hfull[: top - j]
+        # einsum casts the digit rows to code_dtype in small buffers, where
+        # powers @ prod would first copy all of them
+        return np.einsum("i,ij->j", powers, _reduce(prod, p), dtype=code_dtype)
+
+    return times
+
+
 @lru_cache(maxsize=None)
 def _factor_table(p: int, d: int) -> _FactorTable:
-    """Smallest irreducible factor, type and repeated flag of each degree-d code.
+    """Factorization type and repeated-factor flag of each degree-d code.
 
-    Every product g * h with g irreducible of degree e <= d/2 is marked.
-    The pairs (e, g) run from the largest to the smallest and each pass
-    simply overwrites, so the smallest factor is the one written last; the
-    codes never written are the irreducibles, and keep sif_deg = 0 and
-    ftype = 0, the index of (d,).
+    For every e <= d/2 and every irreducible g of degree e, in any order:
 
-    The type and flag of g * h come from the degree d - e table for h: the
-    type is h's with a part e added, and g * h has a repeated factor iff h
-    has one or g divides h.  At the last write g is the smallest factor of
-    g * h, so g divides h only as h's own smallest factor, h = g included.
-
-    Over F_2 a product has no carries: its code is the XOR of h << j over
-    the set bits j of g, with the implicit x^d of the leading term x^e * h
-    left out.  Over odd p it is summed on digit rows and read back by Horner.
+    * the type of g * h is that of h with a part e added, for every monic h
+      of degree d - e, read from the degree d - e table.  Each write to a
+      code writes that code's type, and every reducible code has an
+      irreducible factor of degree <= d/2, so the codes never written are
+      the irreducibles, with ftype 0, the index of (d,);
+    * g^2 * k has a repeated factor, for every monic k of degree d - 2e
+      (k = 1 when d = 2e).  A code has a repeated factor exactly when it is
+      divisible by such a square.
     """
     size = p**d
     types = partitions(d)
     type_index = {lam: i for i, lam in enumerate(types)}
-    sif_deg = np.zeros(size, np.int8)
-    sif_code = np.zeros(size, np.int32)
     ftype = np.zeros(size, np.uint8 if len(types) <= 256 else np.uint16)
     repeated = np.zeros(size, bool)
-    code_dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
-    for e in range(d // 2, 0, -1):
-        # row i of hfull (of prod) is the x^i coefficient of every cofactor h
-        # (of every product g * h below x^d), so each row is contiguous
-        hdeg = d - e
-        hsize = p**hdeg
-        hcodes = np.arange(hsize, dtype=code_dtype)
-        htable = _factor_table(p, hdeg)
+    for e in range(1, d // 2 + 1):
         add_e = [
-            type_index[tuple(sorted(mu + (e,), reverse=True))] for mu in partitions(hdeg)
+            type_index[tuple(sorted(mu + (e,), reverse=True))] for mu in partitions(d - e)
         ]
-        htype = np.array(add_e, ftype.dtype)[htable.ftype]
-        # code of h's smallest factor where that has degree e (h itself when
-        # h is irreducible of degree e), else -1
-        hfirst = np.where(htable.sif_deg == e, htable.sif_code, -1)
-        if hdeg == e:
-            hfirst = np.where(htable.sif_deg == 0, hcodes, hfirst)
-        if p == 2:
-            hfull = hcodes | hsize  # the code of h with its leading x^hdeg
-            shifted = np.empty_like(hcodes)
-        else:
-            hfull = np.empty((hdeg + 1, hsize), _coeff_dtype(p))
-            _write_digits(p, hcodes, hfull[:hdeg])
-            hfull[hdeg] = 1
-            prod = np.empty((d, hsize), _coeff_dtype(p, e + 1))
-        for gc in reversed(_irreducible_codes(p, e).tolist()):
-            if p == 2:
-                codes = hcodes << e
-                for j in range(e):
-                    if gc >> j & 1:
-                        codes ^= np.left_shift(hfull, j, out=shifted)
-            else:
-                prod.fill(0)
-                for j, gj in enumerate(poly_from_code(gc, e, p)):
-                    if gj:
-                        top = min(j + hdeg + 1, d)
-                        prod[j:top] += gj * hfull[: top - j]
-                _reduce(prod, p)
-                codes = prod[d - 1].astype(code_dtype)
-                for row in prod[d - 2 :: -1]:
-                    codes *= p
-                    codes += row
-            sif_deg[codes] = e
-            sif_code[codes] = gc
-            ftype[codes] = htype
-            repeated[codes] = htable.repeated | (hfirst == gc)
-    _check_irreducible_count(p, d, size - np.count_nonzero(sif_deg))
-    return _FactorTable(sif_deg, sif_code, ftype, repeated)
+        htype = np.array(add_e, ftype.dtype)[_factor_table(p, d - e).ftype]
+        times_h = _products(p, d, d - e)
+        times_k = _products(p, d, d - 2 * e)
+        for gc in _irreducible_codes(p, e).tolist():
+            g = poly_from_code(gc, e, p)
+            ftype[times_h(g)] = htype
+            repeated[times_k(poly_mul(g, g, p))] = True
+    _check_irreducible_count(p, d, size - np.count_nonzero(ftype))
+    return _FactorTable(ftype, repeated)
 
 
 @lru_cache(maxsize=None)
 def _irreducible_codes(p: int, d: int) -> np.ndarray:
-    return np.flatnonzero(_factor_table(p, d).sif_deg == 0).astype(np.int64)
+    return np.flatnonzero(_factor_table(p, d).ftype == 0)
 
 
 # Packed kernel.  Each polynomial is one uint64 whose lane i, _lane_width

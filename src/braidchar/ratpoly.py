@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache
 from math import factorial
 from numbers import Rational
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .partitions import (
     Partition,
@@ -153,10 +153,6 @@ class RatPoly:
     def to_strings(self) -> list[str]:
         """Coefficients as exact 'p/q' strings, constant term first."""
         return [str(c) for c in self._coeffs]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "RatPoly":
-        return cls(Fraction(s) for s in items)
 
     def __str__(self) -> str:
         if not self._coeffs:

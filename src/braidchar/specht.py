@@ -167,14 +167,14 @@ def _exact_products(matrix: np.ndarray, weights: list[int]) -> list[int]:
     return total
 
 
-@cache
 def character_table(n: int) -> tuple[tuple[int, ...], ...]:
     """The irreducible characters of S_n as integer rows.
 
     Entry [i][j] is chi^mu(lam) for the i-th mu and the j-th lam of
-    partitions(n).  It is read once from the int64 table, which keeps the
-    tables of every smaller degree.  Degrees n > 32, whose tables do not
-    fit int64, are refused with ValueError before anything is built.
+    partitions(n).  Each call reads a fresh copy of the cached int64 table,
+    which keeps the tables of every smaller degree.  Degrees n > 32, whose
+    tables do not fit int64, are refused with ValueError before anything is
+    built.
 
     >>> character_table(3)
     ((1, 1, 1), (-1, 0, 2), (1, -1, 1))
@@ -198,7 +198,6 @@ def irreducible_character_value(mu: Partition, lam: Partition) -> int:
     return int(table[position[mu], position[lam]])
 
 
-@cache
 def irreducible_character(mu: Partition) -> ClassFunction:
     """chi^mu as a class function on S_n, n = |mu|; n > 32 is refused (ValueError)."""
     mu = check_partition(mu)

@@ -125,9 +125,8 @@ def test_scalar_reference_raises_on_inconsistent_factors(monkeypatch):
 
 @pytest.mark.parametrize("p, d", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3)])
 def test_factor_table_matches_trial_division(p, d):
-    # the table holds the smallest irreducible factor by (degree, code), which
-    # is the first factor trial division finds (degree 0 marks an irreducible),
-    # and the type and repeated flag of every code, square-free or not
+    # the table holds the type and repeated flag of every code, square-free
+    # or not
     table = fforacle._factor_table(p, d)
     irr = enumerate_irreducibles(p, d)
     for code in range(p**d):
@@ -135,34 +134,21 @@ def test_factor_table_matches_trial_division(p, d):
         factors = factor_list(f, p, irr)
         assert partitions(d)[table.ftype[code]] == factor_type(f, p, irr), (p, code)
         assert table.repeated[code] == any(m > 1 for _, m in factors), (p, code)
-        g, _ = factors[0]
-        if poly_degree(g) == d:
-            assert table.sif_deg[code] == 0, (p, code)
-            continue
-        got = (table.sif_deg[code], table.sif_code[code])
-        assert got == (poly_degree(g), poly_to_code(g, p)), (p, code)
 
 
-def test_f2_products_match_trial_division_on_sampled_codes():
-    # (2, 20) is past the exhaustive cells; half the sample has a squared
-    # linear factor, so repeated flags and smallest factors of both kinds occur
-    table = fforacle._factor_table(2, 20)
-    irr = enumerate_irreducibles(2, 10)
-    codes = sampled_codes(2, 20, 2000, seed=20)
+@pytest.mark.parametrize("p, d", [(2, 20), (3, 13)])
+def test_products_match_trial_division_on_sampled_codes(p, d):
+    # both cells are past the exhaustive ones, over F_2 and over odd p; half
+    # the sample has a squared linear factor, so repeated flags occur
+    table = fforacle._factor_table(p, d)
+    irr = enumerate_irreducibles(p, d // 2)
+    codes = sampled_codes(p, d, 2000, seed=d)
     assert table.repeated[codes].sum() >= 1000
     for code in codes.tolist():
-        f = poly_from_code(code, 20, 2)
-        factors = factor_list(f, 2, irr)
-        assert partitions(20)[table.ftype[code]] == factor_type(f, 2, irr), code
+        f = poly_from_code(code, d, p)
+        factors = factor_list(f, p, irr)
+        assert partitions(d)[table.ftype[code]] == factor_type(f, p, irr), code
         assert table.repeated[code] == any(m > 1 for _, m in factors), code
-        g, _ = factors[0]
-        if poly_degree(g) == 20:
-            assert table.sif_deg[code] == 0, code
-            continue
-        assert (table.sif_deg[code], table.sif_code[code]) == (
-            poly_degree(g),
-            poly_to_code(g, 2),
-        ), code
 
 
 def scalar_gcd_degree(p, n, code):
