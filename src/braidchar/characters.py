@@ -101,21 +101,12 @@ class ClassFunction:
         return cls(n, {lam: rule(lam) for lam in partitions(n)})
 
     @classmethod
-    def trivial(cls, n: int) -> "ClassFunction":
-        return cls.from_rule(n, lambda lam: 1)
-
-    @classmethod
     def sign(cls, n: int) -> "ClassFunction":
         return cls.from_rule(n, sign_character)
 
     @classmethod
     def regular(cls, n: int) -> "ClassFunction":
         return cls.from_rule(n, lambda lam: factorial(n) if lam == (1,) * n else 0)
-
-    @classmethod
-    def indicator(cls, lam: Partition) -> "ClassFunction":
-        lam = check_partition(lam)
-        return cls.from_rule(sum(lam), lambda mu: 1 if mu == lam else 0)
 
 
 def _as_integer(v: Fraction, what: str) -> int:
@@ -151,7 +142,11 @@ def a_character(n: int, k: int) -> ClassFunction:
 
 
 def inner_product(f: ClassFunction, g: ClassFunction) -> Fraction:
-    """Standard S_n inner product (1/n!) sum_lam |C_lam| f(lam) g(lam)."""
+    """Standard S_n inner product (1/n!) sum_lam |C_lam| f(lam) g(lam).
+
+    `specht.decompose` does not call it; the tests use it as the independent
+    Fraction reference for the Murnaghan-Nakayama table's orthogonality.
+    """
     if f.n != g.n:
         raise ValueError(f"degree mismatch: {f.n} != {g.n}")
     total = sum(

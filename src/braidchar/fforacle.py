@@ -156,7 +156,12 @@ def poly_from_code(code: int, degree: int, p: int) -> PolyCoeffs:
 
 
 def poly_to_code(f: PolyCoeffs, p: int) -> int:
-    """Inverse of poly_from_code for monic polynomials."""
+    """Inverse of poly_from_code for monic polynomials.
+
+    The census never encodes a tuple; the tests use this as an encoder
+    independent of the sieve's products, to build the codes with a repeated
+    factor that the sieve and the gcd kernel are sampled on.
+    """
     if not f or f[-1] != 1:
         raise ValueError(f"expected a monic polynomial, got {f}")
     code = 0

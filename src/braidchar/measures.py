@@ -8,14 +8,16 @@ which turns out to be a polynomial in 1/z of degree < n:
 
     nu_{n,z}(C_lam) = sum_{k=0}^{n-1} alpha_k (1/z)^k.
 
-The alpha vector is read from the integer polynomial z_lam N_lam(z) (see
+The coefficients are read from the integer polynomial z_lam N_lam(z) (see
 `ratpoly.scaled_cycle_polynomial`): its quotient by (z - 1), exact because
-N_lam(1) = 0, has integer coefficients, and alpha_k is the quotient
-coefficient of z^(n-1-k) divided by z_lam.  For n = 1 the measure is the
-constant 1.  At z = q >= 2 a prime power, nu is the probability that a random
-monic square-free polynomial of degree n over F_q has factorization type lam;
-at other rational z (z = -1, z = 1/q, ...) it is a signed "measure" with the
-same total mass 1.
+N_lam(1) = 0, has integer coefficients, and the quotient coefficient of
+z^(n-1-k) is z_lam alpha_k = (-1)^k chi_n^k(lam), a character value.
+`SplittingMeasure` stores those integers as ``scaled``; ``alpha`` divides
+them by z_lam, and ``value`` evaluates them without forming alpha.  For
+n = 1 the measure is the constant 1.  At z = q >= 2 a prime power, nu is the
+probability that a random monic square-free polynomial of degree n over F_q
+has factorization type lam; at other rational z (z = -1, z = 1/q, ...) it is
+a signed "measure" with the same total mass 1.
 """
 
 from __future__ import annotations
@@ -32,15 +34,22 @@ from .ratpoly import scaled_cycle_polynomial
 
 @dataclass(frozen=True)
 class SplittingMeasure:
-    """Measure of one conjugacy class, as coefficients in 1/z.
+    """Measure of one conjugacy class, as integer coefficients in 1/z.
 
-    alpha[k] is the coefficient of (1/z)^k; the top coefficient alpha[n-1]
-    always vanishes for n >= 2.
+    scaled[k] = z_lam alpha_k is the integer coefficient of (1/z)^k, which is
+    (-1)^k chi_n^k(lam); the top entry scaled[n-1] always vanishes for n >= 2.
+    alpha, the Fraction coefficients themselves, is derived from it.
     """
 
     n: int
     partition: Partition
-    alpha: tuple[Fraction, ...]
+    scaled: tuple[int, ...]
+
+    @cached_property
+    def alpha(self) -> tuple[Fraction, ...]:
+        """alpha[k], the coefficient of (1/z)^k: scaled[k] / z_lam."""
+        z_lam = centralizer_order(self.partition)
+        return tuple(Fraction(c, z_lam) for c in self.scaled)
 
     def value(self, z: Rational, per_element: bool = False) -> Fraction:
         """Evaluate at a rational z != 0.
@@ -51,43 +60,28 @@ class SplittingMeasure:
         z = Fraction(z)
         data = class_data(self.partition)
         if z == 0:
-            if any(self.alpha[1:]):
+            if any(self.scaled[1:]):
                 raise ValueError("pole at z = 0")
-            total = self.alpha[0]
+            total = Fraction(self.scaled[0], data.centralizer_order)
         else:
-            # in integers: with z = r/s and c_k = z_lam alpha_k the value is
-            # sum_k c_k s^k r^(n-1-k) / (z_lam r^(n-1)), one Fraction formed
+            # in integers: with z = r/s the value is
+            # sum_k scaled_k s^k r^(n-1-k) / (z_lam r^(n-1)), one Fraction formed
             r, s = z.numerator, z.denominator
             num, r_power = 0, 1
-            for c in reversed(self._scaled):
+            for c in reversed(self.scaled):
                 num = num * s + c * r_power
                 r_power *= r
-            total = Fraction(num, data.centralizer_order * r ** (len(self.alpha) - 1))
+            total = Fraction(num, data.centralizer_order * r ** (len(self.scaled) - 1))
         if per_element:
             total /= data.class_size
         return total
 
-    @cached_property
-    def _scaled(self) -> tuple[int, ...]:
-        z_lam = class_data(self.partition).centralizer_order
-        out = []
-        for a in self.alpha:
-            v = a * z_lam
-            if v.denominator != 1:
-                raise ArithmeticError(
-                    f"z_lam * alpha not integral for {self.partition}: {v}"
-                )
-            out.append(int(v))
-        return tuple(out)
-
-    def scaled_coefficients(self) -> tuple[int, ...]:
-        """alpha scaled by the centralizer order z_lam; always integers."""
-        return self._scaled
-
 
 def splitting_coefficients(lam: Partition) -> SplittingMeasure:
-    """Exact alpha vector of the class measure of lam.
+    """The class measure of lam: its integer coefficients and exact alpha vector.
 
+    >>> splitting_coefficients((2, 1, 1)).scaled
+    (1, -1, 0, 0)
     >>> [str(a) for a in splitting_coefficients((2, 1, 1)).alpha]
     ['1/4', '-1/4', '0', '0']
     """
@@ -100,7 +94,7 @@ def _splitting_measure(lam: Partition) -> SplittingMeasure:
     if n == 0:
         raise ValueError("the empty partition has no splitting measure")
     if n == 1:
-        return SplittingMeasure(1, lam, (Fraction(1),))
+        return SplittingMeasure(1, lam, (1,))
     # N_lam / (z^n - z^(n-1)) = quot / (z_lam z^(n-1)), quot = z_lam N_lam / (z - 1).
     # Dividing from the top, quot's coefficient of z^(n-1-k) is the sum of the
     # k + 1 leading coefficients, and the sum of all of them is the remainder.
@@ -113,8 +107,7 @@ def _splitting_measure(lam: Partition) -> SplittingMeasure:
         raise ArithmeticError(
             f"top coefficient z_lam * alpha_{n-1} nonzero for {lam}: {quot[n-1]}"
         )
-    z_lam = centralizer_order(lam)
-    return SplittingMeasure(n, lam, tuple(Fraction(q, z_lam) for q in quot))
+    return SplittingMeasure(n, lam, tuple(quot))
 
 
 def measure_value(lam: Partition, z: Rational, per_element: bool = False) -> Fraction:

@@ -51,12 +51,6 @@ class RatPoly:
             cs.pop()
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def monomial(cls, k: int, c: Rational = 1) -> "RatPoly":
-        if k < 0:
-            raise ValueError(f"exponent must be nonnegative, got {k}")
-        return cls((0,) * k + (c,))
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         """Coefficients, constant term first, trailing zeros stripped."""
@@ -66,12 +60,6 @@ class RatPoly:
     def degree(self) -> int:
         """Degree, with the zero polynomial given degree -1."""
         return len(self._coeffs) - 1
-
-    def coefficient(self, k: int) -> Fraction:
-        """Coefficient of z^k (zero beyond the degree)."""
-        if 0 <= k < len(self._coeffs):
-            return self._coeffs[k]
-        return Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -192,17 +180,19 @@ def necklace_polynomial(j: int) -> RatPoly:
     """
     if j <= 0:
         raise ValueError(f"necklace polynomial needs a positive index, got {j}")
-    out = RatPoly()
+    coeffs = [Fraction(0)] * (j + 1)
     for d in divisors(j):
-        out = out + RatPoly.monomial(j // d, Fraction(moebius(d), j))
-    return out
+        coeffs[j // d] += Fraction(moebius(d), j)
+    return RatPoly(coeffs)
 
 
 def poly_binomial(p: RatPoly, m: int) -> RatPoly:
     """binom(p, m) = p (p - 1) ... (p - m + 1) / m!.
 
     The product is accumulated first and divided by m! once at the end, so
-    intermediate coefficients stay small multiples of the inputs.
+    intermediate coefficients stay small multiples of the inputs.  The
+    library forms the integer product instead (`scaled_cycle_polynomial`);
+    this is the tests' independent Fraction route to it.
 
     >>> print(poly_binomial(Z, 4))
     1/24*z^4 - 1/4*z^3 + 11/24*z^2 - 1/4*z

@@ -218,20 +218,8 @@ class IrrepDecomposition:
     terms: tuple[tuple[Partition, int], ...]
 
     @property
-    def genuine(self) -> bool:
-        """True when every multiplicity is nonnegative."""
-        return all(m >= 0 for _, m in self.terms)
-
-    @property
     def dimension(self) -> int:
         return sum(m * irrep_dimension(mu) for mu, m in self.terms)
-
-    def multiplicity(self, mu: Partition) -> int:
-        mu = check_partition(mu)
-        for nu, m in self.terms:
-            if nu == mu:
-                return m
-        return 0
 
     def as_dict(self) -> dict[Partition, int]:
         return dict(self.terms)

@@ -168,7 +168,7 @@ def _suite_tables(limits: VerifyLimits) -> Iterator[Check]:
             lam: (
                 class_data(lam).class_size,
                 class_data(lam).centralizer_order,
-                splitting_coefficients(lam).scaled_coefficients(),
+                splitting_coefficients(lam).scaled,
             )
             for lam in partitions(n)
         }

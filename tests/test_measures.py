@@ -1,5 +1,6 @@
 """Splitting measure coefficients and evaluation."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from braidchar.ratpoly import RatPoly, Z, cycle_polynomial
 def test_degree_four_identity_row_frozen():
     # one row spelled out in full, the rest against the frozen table
     m = splitting_coefficients((1, 1, 1, 1))
-    assert m.scaled_coefficients() == (1, -5, 6, 0)
+    assert m.scaled == (1, -5, 6, 0)
     assert m.alpha == (
         Fraction(1, 24),
         Fraction(-5, 24),
@@ -35,15 +36,16 @@ def test_reference_measure_tables(n):
     for lam, (c, z, scaled) in rows.items():
         data = class_data(lam)
         assert (data.class_size, data.centralizer_order) == (c, z)
-        assert splitting_coefficients(lam).scaled_coefficients() == scaled
+        assert splitting_coefficients(lam).scaled == scaled
 
 
 def test_scaled_coefficients_are_integers():
-    for n in range(2, 13):
+    for n in range(1, 13):
         for lam in partitions(n):
             m = splitting_coefficients(lam)
             z_order = class_data(lam).centralizer_order
-            for a, s in zip(m.alpha, m.scaled_coefficients()):
+            assert len(m.alpha) == len(m.scaled) == n
+            for a, s in zip(m.alpha, m.scaled):
                 assert isinstance(s, int)
                 assert a * z_order == s
 
@@ -132,6 +134,9 @@ def test_measure_object_fields():
     assert isinstance(m, SplittingMeasure)
     assert m.n == 4
     assert m.partition == (2, 1, 1)
+    assert [f.name for f in fields(m)] == ["n", "partition", "scaled"]
+    assert m == SplittingMeasure(4, (2, 1, 1), (1, -1, 0, 0))
+    assert SplittingMeasure(4, (2, 1, 1), (1, -1, 0, 0)).alpha == m.alpha
     assert len(m.alpha) == 4
 
 

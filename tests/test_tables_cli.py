@@ -1,19 +1,22 @@
 """Table emitters and the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
+import re
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from braidchar import reference
+from braidchar import fforacle, reference
 from braidchar.cli import main
 from braidchar.partitions import parse_partition
-from braidchar.tables import COMMAND_LIMITS, FORMATS, TABLE_NAMES, emit_table
+from braidchar.tables import COMMAND_LIMITS, FORMATS, TABLE_LIMITS, TABLE_NAMES, emit_table
 from braidchar.verify import SUITE_NAMES
 
 
@@ -222,6 +225,26 @@ def test_cli_oracle_prime_above_int8():
     assert json.loads(res.output)["ok"] is True
 
 
+def test_cli_oracle_mismatch_exits_one(monkeypatch):
+    census = fforacle.factor_type_census
+
+    def off_by_one(p, n, **kwargs):
+        tally = census(p, n, **kwargs)
+        counts = {**tally.counts, (3,): tally.counts[(3,)] + 1}
+        return dataclasses.replace(tally, counts=counts)
+
+    monkeypatch.setattr(fforacle, "factor_type_census", off_by_one)
+    res = run_cli("oracle", "--p", "2", "--n", "3")
+    assert res.exit_code == 1
+    assert "census MISMATCH" in res.output
+    res = run_cli("oracle", "--p", "2", "--n", "3", "--format", "json")
+    assert res.exit_code == 1
+    data = json.loads(res.output)
+    assert data["ok"] is False
+    rows = {r["partition"]: r for r in data["rows"]}
+    assert rows["3"]["count"] == 3 and rows["3"]["ok"] is False
+
+
 def test_cli_table_matches_library():
     res = run_cli("table", "betti", "--max-n", "6", "--format", "csv")
     assert res.exit_code == 0
@@ -308,3 +331,20 @@ def test_cli_size_refusal_names_the_limit():
     res = run_cli("measure", "--n", str(limit + 1))
     assert res.exit_code == 2
     assert f"n <= {limit}" in res.output
+
+
+def test_readme_limits_table_matches_the_code():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("| command | largest accepted |", 1)[1].split("\n\n", 1)[0]
+    cells = [line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `")]
+    rows = {first.strip(): second for first, second in cells}
+    for command, limit in COMMAND_LIMITS.items():
+        (row,) = [second for first, second in rows.items() if f"`{command}`" in first]
+        assert re.search(rf"\b{limit}\b", row), (command, limit, row)
+    # the table row groups the table names under each limit: "12 (`a`, `b`) or 9 (`c`)"
+    documented = {
+        name: int(limit)
+        for limit, names in re.findall(r"(\d+) \(([^)]*)\)", rows["`table`"])
+        for name in re.findall(r"`([^`]+)`", names)
+    }
+    assert documented == TABLE_LIMITS
