@@ -235,7 +235,7 @@ def decompose_cmd(n: int, k: int | None, m: int | None, which: str, fmt: str) ->
     type=int,
     default=DEFAULT_BUDGET,
     show_default=True,
-    help="Largest candidate count the census may enumerate.",
+    help="Largest p^n the census may take.",
 )
 @format_option()
 def oracle(p: int, n: int, workers: int | None, budget: int, fmt: str) -> None:

@@ -1,10 +1,9 @@
 """Brute-force census of square-free polynomials over prime fields.
 
 This module checks the polynomial identities of the rest of the package
-against raw enumeration: every monic polynomial of degree n over F_p is
-tested for square-freeness via gcd(f, f') and factored by trial division,
-and the counts per factorization type are compared with the cycle
-polynomial values N_lam(p).
+against raw enumeration: monic polynomials of degree n over F_p are tested
+for square-freeness via gcd(f, f') and factored, and the counts per
+factorization type are compared with the cycle polynomial values N_lam(p).
 
 Polynomials over F_p are coefficient tuples, constant term first, reduced
 mod p, with no trailing zeros; a monic polynomial of degree d is also
@@ -13,22 +12,33 @@ the d lower coefficients (the leading 1 is implicit).
 
 Two census engines produce identical tallies:
 
-* a scalar engine, _census_scalar, that walks candidates one by one with
-  per-polynomial gcd and trial division, exactly as described above; it
-  is the tests' independent reference, and
-* a vectorized engine (numpy), the one every census runs, that runs the
-  same gcd batched over blocks of candidates and replaces per-polynomial
-  trial division by a factor sieve: for each degree d and each irreducible
-  g of degree e <= d/2 it writes the factorization type of every product
-  g * h, that of h (read from the degree d - e table) with a part e added,
-  and flags every multiple g^2 * k as having a repeated factor.  The
-  writes may come in any order, since each one writes the same value; the
-  census reads every type and flag as one array of the degree-n table.
+* a scalar engine, _census_scalar, that walks all p^n polynomials one by
+  one with per-polynomial gcd and trial division; it is the tests'
+  independent reference, and
+* a vectorized engine (numpy), the one every census runs.  It counts one
+  polynomial per orbit of the substitutions f(x) -> f(x + a) and
+  f(x) -> c^(-n) f(c x), which keep the factorization type and
+  square-freeness, and weights each count by the orbit's size.  The
+  enumerated codes are one or two slices, each a contiguous range with its
+  top digits fixed (see _orbit_slices): a_{n-1} = 0 with weight p when p
+  does not divide n; a_{n-1} = 0 with weight 1 and a_{n-1} = 1,
+  a_{n-2} = 0 with weight p (p - 1) when an odd p divides n; every code
+  when p = 2 divides n.  The counts are exact, because each orbit meets a
+  slice in exactly one code and the weight is the orbit's size.  On those
+  codes it runs the gcd batched over blocks, and replaces trial division
+  by a factor sieve: for each irreducible g of degree e <= n/2 it writes
+  the factorization type of every product g * h in the slices, that of h
+  (read from the whole degree n - e table, built by the same sieve) with a
+  part e added, and flags every multiple g^2 * k in the slices as having a
+  repeated factor.  Fixing a product's top digits fixes h's, so each g
+  runs over one range of h per slice.  The writes may come in any order,
+  since each one writes the same value.
 
-The vectorized engine always cross-checks the gcd square-freeness verdict
-against the sieve's repeated-factor flag (a repeated factor must appear
-exactly when the gcd is nonconstant) and the per-degree irreducible counts
-against the necklace polynomial values M_d(p), and raises if either check
+The vectorized engine always cross-checks every enumerated code's gcd
+square-freeness verdict against the sieve's repeated-factor flag (a
+repeated factor must appear exactly when the gcd is nonconstant), and the
+irreducible count of every degree against the necklace polynomial value
+M_d(p), weighted by the slices at degree n, and raises if either check
 fails.
 
 Its batched gcd packs each polynomial into one uint64 word of n + 1
@@ -53,9 +63,10 @@ count), never more than it has gcd blocks; numpy releases the interpreter
 lock in the loops that do the work.  The packed kernel's tables are built
 first, on the calling thread.  The factor sieve is then the first task of
 the pool, so that it runs beside the gcd blocks, none of which reads it:
-each block writes its square-free verdicts into its own slice of one
-array, and the calling thread cross-checks and counts the whole array once
-the pool is done.  With one thread, or one block, all of it runs serially
+each block writes its square-free verdicts into its own part of one
+array, sized to the enumerated codes, and the calling thread cross-checks
+the whole array and counts it slice by slice, with the slices' weights,
+once the pool is done.  With one thread, or one block, all of it runs serially
 on the calling thread.  With w threads each block has _BLOCK // w rows, so
 about _BLOCK rows are in flight at any time and peak memory does not grow
 with the number of threads.
@@ -100,6 +111,9 @@ class BudgetError(ValueError):
 
 def _candidates(p: int, n: int, budget: int, what: str) -> int:
     """p**n, or BudgetError when it exceeds ``budget``.
+
+    The budget bounds p**n, the polynomials a census counts, not the fewer
+    codes it enumerates, one per orbit (see _orbit_slices).
 
     Callers run this before the primality test, a trial division.  When p**n
     would have over four times the budget's bits it is refused unformed: then
@@ -346,6 +360,13 @@ class CensusRow:
 
 @dataclass(frozen=True)
 class CensusReport:
+    """A census cell's counts beside the theory's.
+
+    ``candidates`` is the number of codes the census enumerated, one per
+    orbit (see _orbit_slices); the budget counts p^n, all the polynomials
+    those codes stand for.
+    """
+
     p: int
     n: int
     total_squarefree: int
@@ -385,14 +406,79 @@ def _census_scalar(p: int, n: int) -> dict[Partition, int]:
     return ordered
 
 
-# Vectorized engine.  Degree-d tables: for every monic degree-d code, its
-# factorization type as an index into partitions(d), and whether it has a
-# repeated factor.
+# Vectorized engine.  A factor table holds, for every monic degree-d code in
+# a list of slices, its factorization type as an index into partitions(d),
+# and, where asked, whether it has a repeated factor.
 
 
 class _FactorTable(NamedTuple):
     ftype: np.ndarray
-    repeated: np.ndarray
+    repeated: np.ndarray | None
+
+
+def _orbit_slices(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
+    """The code ranges (lo, hi, weight) the census enumerates at degree n.
+
+    f(x) -> f(x + a) and f(x) -> c^(-n) f(c x), for a in F_p and c in F_p^*,
+    preserve monic degree n, the factorization type and square-freeness, so
+    each code may stand for the codes of its orbit.  A code's top base-p
+    digit is a_{n-1}, the next one a_{n-2}:
+
+    * p does not divide n: translation sends a_{n-1} to a_{n-1} + n a, so F_p
+      acts freely and every orbit meets a_{n-1} = 0 once: [0, p^(n-1)),
+      weight p;
+    * p divides n, p odd: scaling sends a_{n-1} to a_{n-1} / c.  The codes
+      with a_{n-1} = 0 are counted once each, and every other orbit of
+      scaling meets a_{n-1} = 1 once.  There translation fixes a_{n-1} and
+      sends a_{n-2} to a_{n-2} - a, since binom(n, 2) = 0 and n - 1 = -1 mod
+      p, so it meets a_{n-2} = 0 once too: [p^(n-1), p^(n-1) + p^(n-2)),
+      weight p (p - 1);
+    * p = 2 divides n: neither applies, and the whole range has weight 1.
+
+    Each slice is the set of codes whose top digits are those of lo, with
+    hi - lo a power of p.
+
+    >>> _orbit_slices(3, 6)
+    ((0, 243, 1), (243, 324, 6))
+    """
+    top = p ** (n - 1)
+    if n % p:
+        return ((0, top, p),)
+    if p == 2:
+        return ((0, 2 * top, 1),)
+    return ((0, top, 1), (top, top + top // p, p * (p - 1)))
+
+
+def _cofactor_range(
+    p: int, d: int, g: PolyCoeffs, hdeg: int, lo: int, hi: int
+) -> tuple[int, int]:
+    """The codes [hlo, hhi) of the monic h of degree hdeg with g * h in [lo, hi).
+
+    [lo, hi) is a slice: hi - lo = p^(d - m), and its degree-d codes share
+    their top m digits, those of lo.  Reversed, with
+    G(y) = y^e g(1/y), H(y) = y^hdeg h(1/y) and A(y) = y^d (g h)(1/y), the
+    product is A = G H, so the top digits of h are the coefficients of
+    H = A / G below y^(m + 1), from the fixed coefficients of A.  They are
+    one contiguous range of codes.  H has degree hdeg, so its coefficients
+    past y^hdeg must come out 0, or no h qualifies.
+    """
+    e = len(g) - 1
+    fixed = []  # the fixed digits of x^(d - 1), x^(d - 2), ...
+    scale = p ** (d - 1)
+    while scale >= hi - lo:
+        fixed.append(lo // scale % p)
+        scale //= p
+    big_h = [1]
+    for i, a in enumerate(fixed, 1):
+        big_h.append((a - sum(g[e - j] * big_h[i - j] for j in range(1, min(i, e) + 1))) % p)
+    if any(big_h[hdeg + 1 :]):
+        return 0, 0
+    m = min(len(fixed), hdeg)
+    top = 0
+    for digit in big_h[1 : m + 1]:
+        top = top * p + digit
+    rest = p ** (hdeg - m)
+    return top * rest, (top + 1) * rest
 
 
 def _coeff_dtype(p: int, terms: int = 1) -> np.dtype:
@@ -428,8 +514,9 @@ def _write_digits(p: int, codes: np.ndarray, out: np.ndarray) -> None:
         c = q
 
 
-def _products(p: int, d: int, hdeg: int) -> Callable[[PolyCoeffs], np.ndarray]:
-    """times(g): the codes of g * h for every monic h of degree hdeg, in h's order.
+def _products(p: int, d: int, hdeg: int) -> Callable[[PolyCoeffs, int, int], np.ndarray]:
+    """times(g, lo, hi): the codes of g * h for the monic h of degree hdeg with
+    codes in [lo, hi), in h's order.
 
     g is a monic coefficient tuple of degree d - hdeg.  Over F_2 a product
     has no carries: its code is h << (d - hdeg), which leaves out the x^d of
@@ -444,11 +531,11 @@ def _products(p: int, d: int, hdeg: int) -> Callable[[PolyCoeffs], np.ndarray]:
         hfull = hcodes | hsize  # the code of h with its leading x^hdeg
         shifted = np.empty_like(hcodes)
 
-        def times(g: PolyCoeffs) -> np.ndarray:
-            codes = hcodes << (d - hdeg)
+        def times(g: PolyCoeffs, lo: int, hi: int) -> np.ndarray:
+            codes = hcodes[lo:hi] << (d - hdeg)
             for j, gj in enumerate(g[:-1]):
                 if gj:
-                    codes ^= np.left_shift(hfull, j, out=shifted)
+                    codes ^= np.left_shift(hfull[lo:hi], j, out=shifted[: hi - lo])
             return codes
 
         return times
@@ -457,15 +544,16 @@ def _products(p: int, d: int, hdeg: int) -> Callable[[PolyCoeffs], np.ndarray]:
     hfull = np.empty((hdeg + 1, hsize), _coeff_dtype(p))
     _write_digits(p, hcodes, hfull[:hdeg])
     hfull[hdeg] = 1
-    prod = np.empty((d, hsize), _coeff_dtype(p, d - hdeg + 1))
+    prod_dtype = _coeff_dtype(p, d - hdeg + 1)
     powers = p ** np.arange(d, dtype=code_dtype)
 
-    def times(g: PolyCoeffs) -> np.ndarray:
-        prod.fill(0)
+    def times(g: PolyCoeffs, lo: int, hi: int) -> np.ndarray:
+        h = hfull[:, lo:hi]
+        prod = np.zeros((d, hi - lo), prod_dtype)
         for j, gj in enumerate(g):
             if gj:
                 top = min(j + hdeg + 1, d)
-                prod[j:top] += gj * hfull[: top - j]
+                prod[j:top] += gj * h[: top - j]
         # einsum casts the digit rows to code_dtype in small buffers, where
         # powers @ prod would first copy all of them
         return np.einsum("i,ij->j", powers, _reduce(prod, p), dtype=code_dtype)
@@ -473,44 +561,71 @@ def _products(p: int, d: int, hdeg: int) -> Callable[[PolyCoeffs], np.ndarray]:
     return times
 
 
-@lru_cache(maxsize=None)
-def _factor_table(p: int, d: int) -> _FactorTable:
-    """Factorization type and repeated-factor flag of each degree-d code.
+def _sieve(
+    p: int, d: int, slices: Sequence[tuple[int, int, int]], squares: bool
+) -> _FactorTable:
+    """Factorization type, and with ``squares`` the repeated-factor flag, of
+    each degree-d code in the slices, stored slice after slice.
 
     For every e <= d/2 and every irreducible g of degree e, in any order:
 
     * the type of g * h is that of h with a part e added, for every monic h
-      of degree d - e, read from the degree d - e table.  Each write to a
-      code writes that code's type, and every reducible code has an
+      of degree d - e with g * h in a slice (one range of h per slice, see
+      _cofactor_range), read from the whole degree d - e table.  Each write
+      to a code writes that code's type, and every reducible code has an
       irreducible factor of degree <= d/2, so the codes never written are
       the irreducibles, with ftype 0, the index of (d,);
     * g^2 * k has a repeated factor, for every monic k of degree d - 2e
-      (k = 1 when d = 2e).  A code has a repeated factor exactly when it is
-      divisible by such a square.
+      (k = 1 when d = 2e) with g^2 * k in a slice.  A code has a repeated
+      factor exactly when it is divisible by such a square.
+
+    The irreducibles of each slice, times its weight, must sum to M_d(p).
     """
-    size = p**d
     types = partitions(d)
     type_index = {lam: i for i, lam in enumerate(types)}
-    ftype = np.zeros(size, np.uint8 if len(types) <= 256 else np.uint16)
-    repeated = np.zeros(size, bool)
+    # where each slice starts in the table
+    starts = list(itertools.accumulate((hi - lo for lo, hi, _ in slices), initial=0))
+    ftype = np.zeros(starts[-1], np.uint8 if len(types) <= 256 else np.uint16)
+    repeated = np.zeros(starts[-1], bool) if squares else None
     for e in range(1, d // 2 + 1):
         add_e = [
             type_index[tuple(sorted(mu + (e,), reverse=True))] for mu in partitions(d - e)
         ]
-        htype = np.array(add_e, ftype.dtype)[_factor_table(p, d - e).ftype]
+        htype = np.array(add_e, ftype.dtype)[_factor_table(p, d - e)]
         times_h = _products(p, d, d - e)
-        times_k = _products(p, d, d - 2 * e)
+        times_k = _products(p, d, d - 2 * e) if squares else None
         for gc in _irreducible_codes(p, e).tolist():
             g = poly_from_code(gc, e, p)
-            ftype[times_h(g)] = htype
-            repeated[times_k(poly_mul(g, g, p))] = True
-    _check_irreducible_count(p, d, size - np.count_nonzero(ftype))
+            g2 = poly_mul(g, g, p) if squares else None
+            for (lo, hi, _), start in zip(slices, starts):
+                hlo, hhi = _cofactor_range(p, d, g, d - e, lo, hi)
+                if hlo < hhi:
+                    codes = times_h(g, hlo, hhi)
+                    codes -= lo - start  # in place: the index into the table
+                    ftype[codes] = htype[hlo:hhi]
+                if squares:
+                    klo, khi = _cofactor_range(p, d, g2, d - 2 * e, lo, hi)
+                    if klo < khi:
+                        codes = times_k(g2, klo, khi)
+                        codes -= lo - start
+                        repeated[codes] = True
+    irreducible = sum(
+        weight * (hi - lo - np.count_nonzero(ftype[start : start + hi - lo]))
+        for (lo, hi, weight), start in zip(slices, starts)
+    )
+    _check_irreducible_count(p, d, irreducible)
     return _FactorTable(ftype, repeated)
 
 
 @lru_cache(maxsize=None)
+def _factor_table(p: int, d: int) -> np.ndarray:
+    """The factorization type of every degree-d code: the tables below the census degree."""
+    return _sieve(p, d, ((0, p**d, 1),), squares=False).ftype
+
+
+@lru_cache(maxsize=None)
 def _irreducible_codes(p: int, d: int) -> np.ndarray:
-    return np.flatnonzero(_factor_table(p, d).ftype == 0)
+    return np.flatnonzero(_factor_table(p, d) == 0)
 
 
 # Packed kernel.  Each polynomial is one uint64 whose lane i, _lane_width
@@ -766,21 +881,28 @@ def _census_vector(
     # the gcd tables are built first, on this thread, so that a cell too wide
     # for a word is refused before any factor table is built
     _, setup = _timed(_packed_tables, p, n)
+    slices = _orbit_slices(p, n)
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
-    total = p**n
-    bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
+    # (lo, hi, at): the codes [lo, hi), written from index at of repeated
+    bounds = []
+    at = 0
+    for lo, hi, _ in slices:
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            bounds.append((start, stop, at))
+            at += stop - start
     threads = min(threads, len(bounds))
-    repeated = np.empty(total, bool)
+    repeated = np.empty(at, bool)
 
-    def gcd_block(lo: int, hi: int) -> None:
+    def gcd_block(lo: int, hi: int, at: int) -> None:
         # each block writes its own slice of repeated, so no two threads
         # write the same entry
         codes = np.arange(lo, hi, dtype=np.int64)
-        np.greater(_packed_gcd_degree(p, n, codes), 0, out=repeated[lo:hi])
+        np.greater(_packed_gcd_degree(p, n, codes), 0, out=repeated[at : at + hi - lo])
 
     # the sieve is the first task, so that on a pool it runs beside the gcd blocks
-    tasks = [(_factor_table, p, n)] + [(gcd_block, lo, hi) for lo, hi in bounds]
+    tasks = [(_sieve, p, n, slices, True)] + [(gcd_block, *b) for b in bounds]
     if threads == 1:
         results = [_timed(*task) for task in tasks]
     else:
@@ -798,7 +920,13 @@ def _census_vector(
         raise RuntimeError(
             f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
         )
-    counts = np.bincount(table.ftype[~repeated], minlength=len(partitions(n)))
+    counts = np.zeros(len(partitions(n)), np.int64)
+    at = 0
+    for lo, hi, weight in slices:
+        part = slice(at, at + hi - lo)
+        squarefree = table.ftype[part][~repeated[part]]
+        counts += weight * np.bincount(squarefree, minlength=counts.size)
+        at += hi - lo
     seconds = {
         "sieve": sieve_seconds,
         "gcd": setup + sum(s for _, s in blocks),
@@ -864,6 +992,13 @@ def census_vs_theory(
         if n >= 2:
             ok = ok and measure_value(lam, p) * expected_total == count
         rows.append(CensusRow(lam, count, predicted, ok))
+    candidates = sum(hi - lo for lo, hi, _ in _orbit_slices(p, n))
     return CensusReport(
-        p, n, tally.total_squarefree, expected_total, tuple(rows), p**n, tally.seconds
+        p,
+        n,
+        tally.total_squarefree,
+        expected_total,
+        tuple(rows),
+        candidates,
+        tally.seconds,
     )

@@ -101,6 +101,42 @@ def test_engines_agree():
             assert list(scalar.items()) == list(factor_type_census(p, n).counts.items())
 
 
+@pytest.mark.parametrize(
+    "p, n, slices",
+    [
+        (2, 9, ((0, 256, 2),)),
+        (5, 4, ((0, 125, 5),)),
+        (7, 4, ((0, 343, 7),)),
+        (3, 3, ((0, 9, 1), (9, 12, 6))),
+        (3, 6, ((0, 243, 1), (243, 324, 6))),
+        (5, 5, ((0, 625, 1), (625, 750, 20))),
+        (2, 10, ((0, 1024, 1),)),
+    ],
+)
+def test_orbit_census_matches_scalar(p, n, slices):
+    # translation (p does not divide n), both scaling slices (odd p dividing
+    # n) and the whole range (p = 2, n even), against the scalar engine,
+    # which walks every code
+    assert fforacle._orbit_slices(p, n) == slices
+    tally = factor_type_census(p, n)
+    assert list(tally.counts.items()) == list(fforacle._census_scalar(p, n).items())
+    assert census_vs_theory(p, n).candidates == sum(hi - lo for lo, hi, _ in slices)
+
+
+@pytest.mark.parametrize("p, d", [(2, 6), (3, 4), (5, 3)])
+def test_sliced_tables_match_the_whole_table(p, d):
+    # every partition of the codes into slices that fix the top m digits,
+    # for every m, gives the types and flags of the whole table; at m >= d - 1
+    # a cofactor of degree below m must be fixed entirely or not exist
+    whole = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
+    for m in range(d + 1):
+        width = p ** (d - m)
+        slices = [(lo, lo + width, 1) for lo in range(0, p**d, width)]
+        table = fforacle._sieve(p, d, slices, squares=True)
+        assert np.array_equal(table.ftype, whole.ftype), m
+        assert np.array_equal(table.repeated, whole.repeated), m
+
+
 def test_every_cell_runs_the_vector_engine(monkeypatch):
     def refuse(p, n):
         raise AssertionError(f"scalar engine ran on ({p}, {n})")
@@ -125,9 +161,11 @@ def test_scalar_reference_raises_on_inconsistent_factors(monkeypatch):
 
 @pytest.mark.parametrize("p, d", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3)])
 def test_factor_table_matches_trial_division(p, d):
-    # the table holds the type and repeated flag of every code, square-free
-    # or not
-    table = fforacle._factor_table(p, d)
+    # the whole-range sieve holds the type and repeated flag of every code,
+    # square-free or not; the cached tables below the census degree hold the
+    # same types and no flags
+    table = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
+    assert np.array_equal(fforacle._factor_table(p, d), table.ftype)
     irr = enumerate_irreducibles(p, d)
     for code in range(p**d):
         f = poly_from_code(code, d, p)
@@ -140,7 +178,7 @@ def test_factor_table_matches_trial_division(p, d):
 def test_products_match_trial_division_on_sampled_codes(p, d):
     # both cells are past the exhaustive ones, over F_2 and over odd p; half
     # the sample has a squared linear factor, so repeated flags occur
-    table = fforacle._factor_table(p, d)
+    table = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
     irr = enumerate_irreducibles(p, d // 2)
     codes = sampled_codes(p, d, 2000, seed=d)
     assert table.repeated[codes].sum() >= 1000
@@ -266,7 +304,7 @@ def test_cells_wider_than_a_word_are_refused(p, n, monkeypatch):
     # 17 lanes of 4 bits, or 65 of one bit, do not fit 64 bits; the census
     # refuses them, within budget, before it builds any table
     built = []
-    monkeypatch.setattr(fforacle, "_factor_table", lambda *cell: built.append(cell))
+    monkeypatch.setattr(fforacle, "_sieve", lambda *cell: built.append(cell))
     with pytest.raises(ValueError, match="more than the 64 of a word"):
         factor_type_census(p, n, budget=p**n)
     assert built == []
@@ -303,7 +341,8 @@ def clear_factor_tables():
 
 def test_workers_match_serial(monkeypatch):
     serial = factor_type_census(3, 8, workers=1)
-    # 3^8 = 6561 codes fit one default block; split them into 13 to 103 blocks
+    # the 3^7 = 2187 codes of (3, 8) fit one default block; split them into 5
+    # to 35 blocks
     monkeypatch.setattr(fforacle, "_BLOCK", 512)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
@@ -319,27 +358,26 @@ def test_workers_match_serial(monkeypatch):
 
 def test_workers_bound_the_threads(monkeypatch):
     clear_factor_tables()
-    sieve, kernel = fforacle._factor_table, fforacle._packed_gcd_degree
+    sieve, kernel = fforacle._sieve, fforacle._packed_gcd_degree
     ran_on = []
 
     def record(task):
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             ran_on.append(threading.get_ident())
-            return task(*args)
+            return task(*args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(fforacle, "_factor_table", record(sieve))
+    monkeypatch.setattr(fforacle, "_sieve", record(sieve))
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", record(kernel))
     factor_type_census(3, 8, workers=1)
     assert ran_on and set(ran_on) == {threading.main_thread().ident}
 
-    sieve.cache_clear()
-    fforacle._irreducible_codes.cache_clear()
+    clear_factor_tables()
     ran_on.clear()
-    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 26 blocks of 256 codes
+    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 9 blocks of up to 256 codes
     factor_type_census(3, 8, workers=2)
-    assert len(ran_on) > 26
+    assert len(ran_on) > 9
     assert len(set(ran_on)) <= 2
 
 
@@ -347,7 +385,7 @@ def test_sieve_failure_in_a_thread_reaches_caller(monkeypatch):
     clear_factor_tables()
     threads_before = threading.active_count()
     monkeypatch.setattr(fforacle, "necklace_polynomial", lambda d: RatPoly((-1,)))
-    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 26 blocks of 256 codes on 2 threads
+    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 9 blocks of up to 256 codes on 2 threads
     kernel = fforacle._packed_gcd_degree
     blocks_run = []
 
@@ -360,11 +398,11 @@ def test_sieve_failure_in_a_thread_reaches_caller(monkeypatch):
         factor_type_census(3, 8, workers=2)
     assert threading.active_count() == threads_before
     # the blocks not yet started when the sieve failed never ran
-    assert len(blocks_run) < 26
+    assert len(blocks_run) < 9
 
 
 def test_worker_thread_failure_reaches_caller(monkeypatch):
-    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 26 blocks of 256 codes on 2 threads
+    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 9 blocks of up to 256 codes on 2 threads
     kernel = fforacle._packed_gcd_degree
     corrupted_in = []
 
@@ -380,6 +418,37 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
         factor_type_census(3, 8, workers=2)
     assert len(corrupted_in) == 1
     assert corrupted_in[0] is not threading.main_thread()
+
+
+def test_gcd_disagreement_in_the_second_scaling_slice_raises(monkeypatch):
+    # (3, 6) enumerates [0, 243) and [243, 324); each is its own gcd block
+    kernel = fforacle._packed_gcd_degree
+    corrupted = []
+
+    def corrupt_second_slice(p, n, codes):
+        gdeg = kernel(p, n, codes)
+        if codes[0] == 243:
+            corrupted.append(codes.size)
+            gdeg[-1] = int(gdeg[-1] == 0)  # flip the square-free verdict of one row
+        return gdeg
+
+    monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_second_slice)
+    with pytest.raises(RuntimeError, match="disagrees with factorization"):
+        factor_type_census(3, 6)
+    assert corrupted == [81]
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (3, 6)])
+def test_wrong_orbit_weight_fails_the_irreducible_count(p, n, monkeypatch):
+    # the census degree's irreducibles, weighted, must still sum to M_n(p):
+    # weight p - 1 for p on the translation slice, or p - 1 for p (p - 1) on
+    # the a_{n-2} slice, is caught there
+    slices = fforacle._orbit_slices(p, n)
+    lo, hi, weight = slices[-1]
+    wrong = slices[:-1] + ((lo, hi, weight - weight // p),)
+    monkeypatch.setattr(fforacle, "_orbit_slices", lambda p, n: wrong)
+    with pytest.raises(RuntimeError, match=rf"irreducible count at degree {n} over F_{p}"):
+        factor_type_census(p, n)
 
 
 def test_irreducible_counts_checked_by_both_engines(monkeypatch):
@@ -406,7 +475,8 @@ def test_census_report_stage_seconds():
     for p, n in ((2, 1), (3, 4)):
         reports = [census_vs_theory(p, n) for _ in range(2)]
         for report in reports:
-            assert report.candidates == p**n
+            # the codes enumerated: one per orbit of translation
+            assert report.candidates == {(2, 1): 1, (3, 4): 27}[p, n]
             assert set(report.seconds) == {"sieve", "gcd", "tally"}
             assert min(report.seconds.values()) >= 0
             assert "seconds" not in repr(report) and "candidates" not in repr(report)
