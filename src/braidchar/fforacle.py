@@ -882,27 +882,29 @@ def _census_vector(
     # for a word is refused before any factor table is built
     _, setup = _timed(_packed_tables, p, n)
     slices = _orbit_slices(p, n)
+    # where each slice starts in repeated and in the sieve's table
+    starts = list(itertools.accumulate((hi - lo for lo, hi, _ in slices), initial=0))
+    total = starts[-1]
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
-    # (lo, hi, at): the codes [lo, hi), written from index at of repeated
-    bounds = []
-    at = 0
-    for lo, hi, _ in slices:
-        for start in range(lo, hi, block):
-            stop = min(start + block, hi)
-            bounds.append((start, stop, at))
-            at += stop - start
+    bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
     threads = min(threads, len(bounds))
-    repeated = np.empty(at, bool)
+    repeated = np.empty(total, bool)
 
-    def gcd_block(lo: int, hi: int, at: int) -> None:
-        # each block writes its own slice of repeated, so no two threads
-        # write the same entry
+    def gcd_block(lo: int, hi: int) -> None:
+        # the codes at [lo, hi) of the enumeration, which may span slices:
+        # index i of the slice from first, stored from index at, holds code
+        # first + i - at.  Each block writes its own part of repeated, so no
+        # two threads write the same entry
         codes = np.arange(lo, hi, dtype=np.int64)
-        np.greater(_packed_gcd_degree(p, n, codes), 0, out=repeated[at : at + hi - lo])
+        shift = 0
+        for (first, _, _), at in zip(slices, starts):
+            codes[max(at - lo, 0) :] += first - at - shift
+            shift = first - at
+        np.greater(_packed_gcd_degree(p, n, codes), 0, out=repeated[lo:hi])
 
     # the sieve is the first task, so that on a pool it runs beside the gcd blocks
-    tasks = [(_sieve, p, n, slices, True)] + [(gcd_block, *b) for b in bounds]
+    tasks = [(_sieve, p, n, slices, True)] + [(gcd_block, lo, hi) for lo, hi in bounds]
     if threads == 1:
         results = [_timed(*task) for task in tasks]
     else:
@@ -921,12 +923,10 @@ def _census_vector(
             f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
         )
     counts = np.zeros(len(partitions(n)), np.int64)
-    at = 0
-    for lo, hi, weight in slices:
+    for (lo, hi, weight), at in zip(slices, starts):
         part = slice(at, at + hi - lo)
         squarefree = table.ftype[part][~repeated[part]]
         counts += weight * np.bincount(squarefree, minlength=counts.size)
-        at += hi - lo
     seconds = {
         "sieve": sieve_seconds,
         "gcd": setup + sum(s for _, s in blocks),

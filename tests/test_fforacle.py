@@ -126,15 +126,18 @@ def test_orbit_census_matches_scalar(p, n, slices):
 @pytest.mark.parametrize("p, d", [(2, 6), (3, 4), (5, 3)])
 def test_sliced_tables_match_the_whole_table(p, d):
     # every partition of the codes into slices that fix the top m digits,
-    # for every m, gives the types and flags of the whole table; at m >= d - 1
-    # a cofactor of degree below m must be fixed entirely or not exist
+    # for every m, gives the types and flags of the whole table, stored slice
+    # after slice; in reverse order, so that a product written from another
+    # slice's cofactors lands on another code.  At m >= d - 1 a cofactor of
+    # degree below m must be fixed entirely or not exist
     whole = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
     for m in range(d + 1):
         width = p ** (d - m)
-        slices = [(lo, lo + width, 1) for lo in range(0, p**d, width)]
+        slices = [(lo, lo + width, 1) for lo in reversed(range(0, p**d, width))]
         table = fforacle._sieve(p, d, slices, squares=True)
-        assert np.array_equal(table.ftype, whole.ftype), m
-        assert np.array_equal(table.repeated, whole.repeated), m
+        for got, expected in zip(table, whole):
+            in_order = np.concatenate([expected[lo:hi] for lo, hi, _ in slices])
+            assert np.array_equal(got, in_order), m
 
 
 def test_every_cell_runs_the_vector_engine(monkeypatch):
@@ -420,22 +423,25 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
     assert corrupted_in[0] is not threading.main_thread()
 
 
-def test_gcd_disagreement_in_the_second_scaling_slice_raises(monkeypatch):
-    # (3, 6) enumerates [0, 243) and [243, 324); each is its own gcd block
+@pytest.mark.parametrize("workers", [1, 2])
+def test_gcd_disagreement_in_the_second_scaling_slice_raises(workers, monkeypatch):
+    # (3, 6) enumerates [0, 243) and [243, 324); the last code of the second
+    # slice is x^6 + x^5 + 2x^3 + 2x^2 + 2x + 2, at the end of the last block
     kernel = fforacle._packed_gcd_degree
     corrupted = []
 
-    def corrupt_second_slice(p, n, codes):
+    def corrupt_one_code(p, n, codes):
         gdeg = kernel(p, n, codes)
-        if codes[0] == 243:
-            corrupted.append(codes.size)
-            gdeg[-1] = int(gdeg[-1] == 0)  # flip the square-free verdict of one row
+        for row in np.flatnonzero(codes == 323):
+            corrupted.append(row - codes.size)
+            gdeg[row] = int(gdeg[row] == 0)  # flip its square-free verdict
         return gdeg
 
-    monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_second_slice)
+    monkeypatch.setattr(fforacle, "_BLOCK", 256)  # 2 to 3 blocks, one spanning both slices
+    monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_one_code)
     with pytest.raises(RuntimeError, match="disagrees with factorization"):
-        factor_type_census(3, 6)
-    assert corrupted == [81]
+        factor_type_census(3, 6, workers=workers)
+    assert corrupted == [-1]
 
 
 @pytest.mark.parametrize("p, n", [(3, 4), (3, 6)])
