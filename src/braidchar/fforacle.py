@@ -19,12 +19,13 @@ Two census engines produce identical tallies:
   polynomial per orbit of the substitutions f(x) -> f(x + a) and
   f(x) -> c^(-n) f(c x), which keep the factorization type and
   square-freeness, and weights each count by the orbit's size.  The
-  enumerated codes are one or two slices, each a contiguous range with its
-  top digits fixed (see _orbit_slices): a_{n-1} = 0 with weight p when p
-  does not divide n; a_{n-1} = 0 with weight 1 and a_{n-1} = 1,
+  enumerated codes are one range [0, N), cut into one or two slices that
+  each fix the top digits (see _orbit_slices): a_{n-1} = 0 with weight p
+  when p does not divide n; a_{n-1} = 0 with weight 1 and a_{n-1} = 1,
   a_{n-2} = 0 with weight p (p - 1) when an odd p divides n; every code
-  when p = 2 divides n.  The counts are exact, because each orbit meets a
-  slice in exactly one code and the weight is the orbit's size.  On those
+  when p = 2 divides n.  The counts are exact: the maps a slice's weight
+  counts act on it freely, and they carry the enumerated codes onto every
+  monic polynomial exactly once.  On those
   codes it runs the gcd batched over blocks, and replaces trial division
   by a factor sieve: for each irreducible g of degree e <= n/2 it writes
   the factorization type of every product g * h in the slices, that of h
@@ -436,7 +437,8 @@ def _orbit_slices(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
     * p = 2 divides n: neither applies, and the whole range has weight 1.
 
     Each slice is the set of codes whose top digits are those of lo, with
-    hi - lo a power of p.
+    hi - lo a power of p, and the slices tile [0, hi) of the last one in
+    order, so the census enumerates one range of codes.
 
     >>> _orbit_slices(3, 6)
     ((0, 243, 1), (243, 324, 6))
@@ -565,7 +567,8 @@ def _sieve(
     p: int, d: int, slices: Sequence[tuple[int, int, int]], squares: bool
 ) -> _FactorTable:
     """Factorization type, and with ``squares`` the repeated-factor flag, of
-    each degree-d code in the slices, stored slice after slice.
+    each degree-d code in the slices, indexed by code.  The slices
+    (lo, hi, weight) tile [0, hi) of the last one in order.
 
     For every e <= d/2 and every irreducible g of degree e, in any order:
 
@@ -583,10 +586,9 @@ def _sieve(
     """
     types = partitions(d)
     type_index = {lam: i for i, lam in enumerate(types)}
-    # where each slice starts in the table
-    starts = list(itertools.accumulate((hi - lo for lo, hi, _ in slices), initial=0))
-    ftype = np.zeros(starts[-1], np.uint8 if len(types) <= 256 else np.uint16)
-    repeated = np.zeros(starts[-1], bool) if squares else None
+    size = slices[-1][1]
+    ftype = np.zeros(size, np.uint8 if len(types) <= 256 else np.uint16)
+    repeated = np.zeros(size, bool) if squares else None
     for e in range(1, d // 2 + 1):
         add_e = [
             type_index[tuple(sorted(mu + (e,), reverse=True))] for mu in partitions(d - e)
@@ -597,21 +599,16 @@ def _sieve(
         for gc in _irreducible_codes(p, e).tolist():
             g = poly_from_code(gc, e, p)
             g2 = poly_mul(g, g, p) if squares else None
-            for (lo, hi, _), start in zip(slices, starts):
+            for lo, hi, _ in slices:
                 hlo, hhi = _cofactor_range(p, d, g, d - e, lo, hi)
                 if hlo < hhi:
-                    codes = times_h(g, hlo, hhi)
-                    codes -= lo - start  # in place: the index into the table
-                    ftype[codes] = htype[hlo:hhi]
+                    ftype[times_h(g, hlo, hhi)] = htype[hlo:hhi]
                 if squares:
                     klo, khi = _cofactor_range(p, d, g2, d - 2 * e, lo, hi)
                     if klo < khi:
-                        codes = times_k(g2, klo, khi)
-                        codes -= lo - start
-                        repeated[codes] = True
+                        repeated[times_k(g2, klo, khi)] = True
     irreducible = sum(
-        weight * (hi - lo - np.count_nonzero(ftype[start : start + hi - lo]))
-        for (lo, hi, weight), start in zip(slices, starts)
+        weight * (hi - lo - np.count_nonzero(ftype[lo:hi])) for lo, hi, weight in slices
     )
     _check_irreducible_count(p, d, irreducible)
     return _FactorTable(ftype, repeated)
@@ -882,9 +879,7 @@ def _census_vector(
     # for a word is refused before any factor table is built
     _, setup = _timed(_packed_tables, p, n)
     slices = _orbit_slices(p, n)
-    # where each slice starts in repeated and in the sieve's table
-    starts = list(itertools.accumulate((hi - lo for lo, hi, _ in slices), initial=0))
-    total = starts[-1]
+    total = slices[-1][1]  # the codes enumerated, [0, total)
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
     bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
@@ -892,15 +887,9 @@ def _census_vector(
     repeated = np.empty(total, bool)
 
     def gcd_block(lo: int, hi: int) -> None:
-        # the codes at [lo, hi) of the enumeration, which may span slices:
-        # index i of the slice from first, stored from index at, holds code
-        # first + i - at.  Each block writes its own part of repeated, so no
-        # two threads write the same entry
+        # each block writes its own slice of repeated, so no two threads
+        # write the same entry
         codes = np.arange(lo, hi, dtype=np.int64)
-        shift = 0
-        for (first, _, _), at in zip(slices, starts):
-            codes[max(at - lo, 0) :] += first - at - shift
-            shift = first - at
         np.greater(_packed_gcd_degree(p, n, codes), 0, out=repeated[lo:hi])
 
     # the sieve is the first task, so that on a pool it runs beside the gcd blocks
@@ -923,9 +912,8 @@ def _census_vector(
             f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
         )
     counts = np.zeros(len(partitions(n)), np.int64)
-    for (lo, hi, weight), at in zip(slices, starts):
-        part = slice(at, at + hi - lo)
-        squarefree = table.ftype[part][~repeated[part]]
+    for lo, hi, weight in slices:
+        squarefree = table.ftype[lo:hi][~repeated[lo:hi]]
         counts += weight * np.bincount(squarefree, minlength=counts.size)
     seconds = {
         "sieve": sieve_seconds,
@@ -992,7 +980,7 @@ def census_vs_theory(
         if n >= 2:
             ok = ok and measure_value(lam, p) * expected_total == count
         rows.append(CensusRow(lam, count, predicted, ok))
-    candidates = sum(hi - lo for lo, hi, _ in _orbit_slices(p, n))
+    candidates = _orbit_slices(p, n)[-1][1]
     return CensusReport(
         p,
         n,

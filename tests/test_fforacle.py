@@ -124,20 +124,25 @@ def test_orbit_census_matches_scalar(p, n, slices):
 
 
 @pytest.mark.parametrize("p, d", [(2, 6), (3, 4), (5, 3)])
-def test_sliced_tables_match_the_whole_table(p, d):
-    # every partition of the codes into slices that fix the top m digits,
-    # for every m, gives the types and flags of the whole table, stored slice
-    # after slice; in reverse order, so that a product written from another
-    # slice's cofactors lands on another code.  At m >= d - 1 a cofactor of
-    # degree below m must be fixed entirely or not exist
-    whole = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
-    for m in range(d + 1):
-        width = p ** (d - m)
-        slices = [(lo, lo + width, 1) for lo in reversed(range(0, p**d, width))]
-        table = fforacle._sieve(p, d, slices, squares=True)
-        for got, expected in zip(table, whole):
-            in_order = np.concatenate([expected[lo:hi] for lo, hi, _ in slices])
-            assert np.array_equal(got, in_order), m
+def test_cofactor_range_matches_brute_force(p, d):
+    # for every monic g of degree e and every slice of degree-d codes that
+    # fixes the top m digits, the monic h of degree d - e with g * h in the
+    # slice are exactly the range returned; where m exceeds the degree of h,
+    # that is one h or none
+    for e in range(1, d + 1):
+        hdeg = d - e
+        for gc in range(p**e):
+            g = poly_from_code(gc, e, p)
+            products = [
+                poly_to_code(poly_mul(g, poly_from_code(h, hdeg, p), p), p)
+                for h in range(p**hdeg)
+            ]
+            for m in range(d + 1):
+                width = p ** (d - m)
+                for lo in range(0, p**d, width):
+                    expected = [h for h, code in enumerate(products) if lo <= code < lo + width]
+                    hlo, hhi = fforacle._cofactor_range(p, d, g, hdeg, lo, lo + width)
+                    assert list(range(hlo, hhi)) == expected, (g, lo, lo + width)
 
 
 def test_every_cell_runs_the_vector_engine(monkeypatch):
