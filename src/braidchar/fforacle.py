@@ -25,15 +25,15 @@ Two census engines produce identical tallies:
   a_{n-2} = 0 with weight p (p - 1) when an odd p divides n; every code
   when p = 2 divides n.  The counts are exact: the maps a slice's weight
   counts act on it freely, and they carry the enumerated codes onto every
-  monic polynomial exactly once.  On those
-  codes it runs the gcd batched over blocks, and replaces trial division
-  by a factor sieve: for each irreducible g of degree e <= n/2 it writes
-  the factorization type of every product g * h in the slices, that of h
-  (read from the whole degree n - e table, built by the same sieve) with a
-  part e added, and flags every multiple g^2 * k in the slices as having a
-  repeated factor.  Fixing a product's top digits fixes h's, so each g
-  runs over one range of h per slice.  The writes may come in any order,
-  since each one writes the same value.
+  monic polynomial exactly once.  On those codes it runs the gcd batched
+  over blocks, and replaces trial division by a factor sieve: for each
+  irreducible g of degree e <= n/2 it writes the factorization type of
+  every product g * h in the slices, that of h (read from the whole degree
+  n - e table, built by the same sieve) with a part e added, and flags
+  every multiple g^2 * k in the slices as having a repeated factor.  Fixing
+  a product's top digits fixes h's, so each g runs over one range of h per
+  slice.  The writes may come in any order, since each one writes the
+  same value.
 
 The vectorized engine always cross-checks every enumerated code's gcd
 square-freeness verdict against the sieve's repeated-factor flag (a
@@ -67,8 +67,8 @@ the pool, so that it runs beside the gcd blocks, none of which reads it:
 each block writes its square-free verdicts into its own part of one
 array, sized to the enumerated codes, and the calling thread cross-checks
 the whole array and counts it slice by slice, with the slices' weights,
-once the pool is done.  With one thread, or one block, all of it runs serially
-on the calling thread.  With w threads each block has _BLOCK // w rows, so
+once the pool is done.  With one thread, or one block, all of it runs
+serially on the calling thread.  With w threads each block has _BLOCK // w rows, so
 about _BLOCK rows are in flight at any time and peak memory does not grow
 with the number of threads.
 """
@@ -408,8 +408,8 @@ def _census_scalar(p: int, n: int) -> dict[Partition, int]:
 
 
 # Vectorized engine.  A factor table holds, for every monic degree-d code in
-# a list of slices, its factorization type as an index into partitions(d),
-# and, where asked, whether it has a repeated factor.
+# the slices it was built on, indexed by code, its factorization type as an
+# index into partitions(d) and, where asked, whether it has a repeated factor.
 
 
 class _FactorTable(NamedTuple):
@@ -457,12 +457,12 @@ def _cofactor_range(
     """The codes [hlo, hhi) of the monic h of degree hdeg with g * h in [lo, hi).
 
     [lo, hi) is a slice: hi - lo = p^(d - m), and its degree-d codes share
-    their top m digits, those of lo.  Reversed, with
-    G(y) = y^e g(1/y), H(y) = y^hdeg h(1/y) and A(y) = y^d (g h)(1/y), the
-    product is A = G H, so the top digits of h are the coefficients of
-    H = A / G below y^(m + 1), from the fixed coefficients of A.  They are
-    one contiguous range of codes.  H has degree hdeg, so its coefficients
-    past y^hdeg must come out 0, or no h qualifies.
+    their top m digits, those of lo.  Reversed, with G(y) = y^e g(1/y),
+    H(y) = y^hdeg h(1/y) and A(y) = y^d (g h)(1/y), the product is A = G H,
+    so the top digits of h are the coefficients of H = A / G below
+    y^(m + 1), from the fixed coefficients of A.  They are one contiguous
+    range of codes.  H has degree hdeg, so its coefficients past y^hdeg
+    must come out 0, or no h qualifies.
     """
     e = len(g) - 1
     fixed = []  # the fixed digits of x^(d - 1), x^(d - 2), ...

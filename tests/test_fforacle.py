@@ -455,8 +455,8 @@ def test_wrong_orbit_weight_fails_the_irreducible_count(p, n, monkeypatch):
     # weight p - 1 for p on the translation slice, or p - 1 for p (p - 1) on
     # the a_{n-2} slice, is caught there
     slices = fforacle._orbit_slices(p, n)
-    lo, hi, weight = slices[-1]
-    wrong = slices[:-1] + ((lo, hi, weight - weight // p),)
+    lo, hi, _ = slices[-1]
+    wrong = slices[:-1] + ((lo, hi, p - 1),)
     monkeypatch.setattr(fforacle, "_orbit_slices", lambda p, n: wrong)
     with pytest.raises(RuntimeError, match=rf"irreducible count at degree {n} over F_{p}"):
         factor_type_census(p, n)
