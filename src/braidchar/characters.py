@@ -59,7 +59,11 @@ class ClassFunction:
             raise ValueError(f"values must cover all partitions of {self.n}")
 
     def __call__(self, lam: Partition) -> Fraction:
-        lam = check_partition(lam)
+        # a key of values is a valid partition, so only a miss is validated
+        try:
+            return self.values[lam]
+        except (KeyError, TypeError):
+            lam = check_partition(lam)
         try:
             return self.values[lam]
         except KeyError:

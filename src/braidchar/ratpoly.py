@@ -36,7 +36,6 @@ from .partitions import (
     check_partition,
     divisors,
     moebius,
-    multiplicities,
 )
 
 
@@ -209,21 +208,28 @@ def poly_binomial(p: RatPoly, m: int) -> RatPoly:
 def scaled_cycle_polynomial(lam: Partition) -> tuple[int, ...]:
     """z_lam N_lam(z) as integer coefficients, constant term first.
 
-    The schoolbook product of the factors j M_j(z) - i j over i < m_j; the
-    result is monic of degree |lam|.
+    The product of the factors j M_j(z) - i j over i < m_j, monic of degree
+    |lam|.  It starts from the cached polynomial of lam without its group
+    of smallest parts, j = lam[-1], and multiplies in only that group's m_j
+    sparse factors, schoolbook; so partitions that share their larger parts
+    share the product, the recursion is as deep as lam has distinct parts,
+    and the cache holds one entry per partition reached.
 
     >>> scaled_cycle_polynomial((2, 1, 1))
     (0, 0, 1, -2, 1)
     """
-    out = [1]
-    for j, m in sorted(multiplicities(lam).items()):
-        terms = [(j // d, moebius(d)) for d in divisors(j) if moebius(d)]
-        for i in range(m):
-            product = [0] * (len(out) + j)
-            for e, c in [*terms, (0, -i * j)]:
-                for t, a in enumerate(out, e):
-                    product[t] += c * a
-            out = product
+    if not lam:
+        return (1,)
+    j = lam[-1]
+    m = lam.count(j)
+    out = scaled_cycle_polynomial(lam[:-m])
+    terms = [(j // d, moebius(d)) for d in divisors(j) if moebius(d)]
+    for i in range(m):
+        product = [0] * (len(out) + j)
+        for e, c in [*terms, (0, -i * j)]:
+            for t, a in enumerate(out, e):
+                product[t] += c * a
+        out = product
     return tuple(out)
 
 

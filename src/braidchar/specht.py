@@ -3,9 +3,15 @@
 The whole character table of S_n is built once per n, as one int64 array,
 by the Murnaghan-Nakayama rule: chi^mu(lam) is the signed sum, over the
 border strips of length t = lam[0] in mu, of chi^(mu - strip)(lam[1:]),
-read from the table of S_(n-t).  The columns with lam[0] = t form one
-block, so each strip length t costs one gather of signed rows of the
-degree n - t array and one scatter-add into that block.
+read from the table of S_(n-t).  Each partition is one uint64 bead mask,
+its beta set on n beads (James-Kerber, The Representation Theory of the
+Symmetric Group, 1981): removing a t-strip moves one bead from b down to
+an empty b - t, with the sign of the parity of the beads in between.  So
+for each t the strips of every mu come from one array step on the masks,
+and each mu - strip is found by a sorted search in the masks of degree
+n - t.  The columns with lam[0] = t form one block, and each t costs one
+gather of signed rows of the degree n - t array and one scatter-add into
+that block.
 
 Every partial sum of the rule has at most n terms of at most sqrt((n-1)!)
 in absolute value, which is below 2^63 up to n = 32 and above it from
@@ -26,8 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, frexp, lcm
-from typing import Iterator
-
 import numpy as np
 
 from .characters import ClassFunction
@@ -64,34 +68,33 @@ def irrep_dimension(mu: Partition) -> int:
 _MAX_DEGREE = 32
 
 
-def _border_strips(mu: Partition) -> Iterator[tuple[int, int, Partition]]:
-    """(t, sign, nu) for every border strip of mu: its length, sign and mu - strip.
-
-    The strips are the rims of the hooks.  The hook at box (i, j) reaches
-    down to row k, the last row longer than j, and has length
-    t = mu[i] - j + k - i.  On beta numbers its strip moves the bead of
-    row i down t places, past the k - i beads of rows i+1..k, so the sign
-    is (-1)^(k - i).  Those rows each move up one row and lose one box,
-    and then comes the one new part, j (none if 0).
-    """
-    length = len(mu)
-    less = tuple(p - 1 for p in mu)
-    longer = sum(1 for p in mu if p > 1)  # less[:longer] has no zero part
-    for i, row in enumerate(mu):
-        head = mu[:i]
-        k = i
-        for j in range(row - 1, 0, -1):
-            while k + 1 < length and mu[k + 1] > j:
-                k += 1
-            nu = head + less[i + 1 : k + 1] + (j,) + mu[k + 1 :]
-            yield row - j + k - i, -1 if (k - i) % 2 else 1, nu
-        k = length - 1
-        yield row + k - i, -1 if (k - i) % 2 else 1, head + less[i + 1 : longer]
-
-
 @cache
 def _position(n: int) -> dict[Partition, int]:
     return {lam: i for i, lam in enumerate(partitions(n))}
+
+
+@cache
+def _bead_masks(n: int) -> np.ndarray:
+    """The partitions of n as uint64 bead masks, in partitions(n) order.
+
+    mu, padded with zeros to n parts, has its beads at mu[i] + n - 1 - i
+    (i = 0..n-1): the zero parts fill the bits below n - len(mu), and the
+    highest bead is at most 2n - 1, so n <= 32 fits 64 bits.  A larger
+    partition in reverse lexicographic order has the larger mask, so the
+    array is strictly decreasing.
+    """
+    masks = [
+        sum(1 << (p + n - 1 - i) for i, p in enumerate(mu)) | (1 << (n - len(mu))) - 1
+        for mu in partitions(n)
+    ]
+    return np.array(masks, np.uint64)
+
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """The parity of the set bits of each uint64 in x, as 0 or 1."""
+    for s in (32, 16, 8, 4, 2, 1):
+        x = x ^ (x >> np.uint64(s))
+    return x & np.uint64(1)
 
 
 @cache
@@ -108,20 +111,8 @@ def _table(n: int) -> np.ndarray:
     if n == 0:
         return np.ones((1, 1), np.int64)
     parts = partitions(n)
-    positions = [_position(n - t) for t in range(n + 1)]
-    # one row per strip of every mu: its length t, the row of mu, the sign,
-    # and the row of mu - strip in the degree n - t table; sorted by t,
-    # and by the row of mu within each t
-    strips = np.array(
-        [
-            (t, r, sign, positions[t][nu])
-            for r, mu in enumerate(parts)
-            for t, sign, nu in _border_strips(mu)
-        ],
-        np.int64,
-    )
-    strips = strips[np.argsort(strips[:, 0], kind="stable")]
-    ends = np.searchsorted(strips[:, 0], np.arange(n + 2)).tolist()
+    masks = _bead_masks(n)
+    one = np.uint64(1)
     table = np.zeros((len(parts), len(parts)), np.int64)
     # The columns lam with lam[0] = t form one block, for t = n down to 1.
     # Across a block lam[1:] runs, in order, over the partitions of n - t
@@ -130,8 +121,26 @@ def _table(n: int) -> np.ndarray:
     col = 0
     for t in range(n, 0, -1):
         width = widths[t]
-        _, rows, signs, sources = strips[ends[t] : ends[t + 1]].T
+        shift = np.uint64(t)
+        # each bead b >= t above an empty b - t tops one t-strip; the
+        # (row of mu, b) pairs come in row order
+        tops = masks & ~(masks << shift) & ~((one << shift) - one)
+        bits = np.unpackbits(
+            tops.astype("<u8").view(np.uint8).reshape(-1, 8),
+            axis=1,
+            count=2 * n,
+            bitorder="little",
+        )
+        rows, beads = np.nonzero(bits.view(bool))
+        beads = beads.astype(np.uint64)
+        # the sign is the parity of the beads the move jumps over
+        between = (one << beads) - (one << (beads - shift + one))
+        signs = 1 - 2 * _parity(masks[rows] & between).astype(np.int64)
+        # mu - strip keeps n beads, the low t of them at 0..t-1, so shifting
+        # them off gives its n - t bead mask, looked up in the decreasing array
+        moved = (masks[rows] ^ (one << beads) ^ (one << (beads - shift))) >> shift
         smaller = _table(n - t)
+        sources = len(smaller) - 1 - np.searchsorted(_bead_masks(n - t)[::-1], moved)
         tails = smaller[sources, len(smaller) - width :] * signs[:, None]
         firsts = np.flatnonzero(np.diff(rows, prepend=-1))
         table[rows[firsts], col : col + width] = np.add.reduceat(tails, firsts)

@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from braidchar import reference
+from braidchar import characters, reference
 from braidchar.characters import (
     ClassFunction,
     NoClosedFormError,
@@ -306,6 +306,28 @@ def test_class_function_errors():
         inner_product(f, g)
     with pytest.raises(ValueError, match=r"S_4 evaluated at \(2, 1\), a partition of 3"):
         braid_character(4, 1)((2, 1))
+
+
+def test_class_function_call_validates_only_a_miss(monkeypatch):
+    f = braid_character(3, 1)
+    checked = []
+    real = characters.check_partition
+    monkeypatch.setattr(
+        characters, "check_partition", lambda lam: checked.append(lam) or real(lam)
+    )
+    assert [f(lam) for lam in partitions(3)] == [f.values[lam] for lam in partitions(3)]
+    assert checked == []
+    # a miss is normalized or refused as before
+    assert f([2, 1]) == f((2.0, 1)) == f.values[(2, 1)]
+    for bad, text in [
+        ([1, 2], r"weakly decreasing, got \(1, 2\)"),
+        (("a",), "parts must be integers, got 'a'"),
+        ((3, 0), "parts must be positive, got 0"),
+        ((2, 2), r"S_3 evaluated at \(2, 2\), a partition of 4"),
+    ]:
+        with pytest.raises(ValueError, match=text):
+            f(bad)
+    assert checked == [[2, 1], [1, 2], ("a",), (3, 0), (2, 2)]
 
 
 def test_regular_class_function():

@@ -137,14 +137,17 @@ def test_cycle_polynomial_validates_partition():
 
 def test_scaled_cycle_polynomial_matches_binomial_product():
     """The integer product equals z_lam prod_j binom(M_j, m_j), formed over Q."""
-    for n in range(1, 13):
-        for lam in partitions(n):
-            expected = RatPoly((centralizer_order(lam),))
-            for j, m in multiplicities(lam).items():
-                expected = expected * poly_binomial(necklace_polynomial(j), m)
-            scaled = scaled_cycle_polynomial(lam)
-            assert all(type(c) is int for c in scaled), lam
-            assert scaled == expected.coeffs, lam
+    # past n = 12: one long group of ones, and eleven distinct parts, the
+    # deepest recursion over smallest-part groups
+    cases = [lam for n in range(1, 13) for lam in partitions(n)]
+    cases += [(1,) * 60, tuple(range(11, 0, -1))]
+    for lam in cases:
+        expected = RatPoly((centralizer_order(lam),))
+        for j, m in multiplicities(lam).items():
+            expected = expected * poly_binomial(necklace_polynomial(j), m)
+        scaled = scaled_cycle_polynomial(lam)
+        assert all(type(c) is int for c in scaled), lam
+        assert scaled == expected.coeffs, lam
 
 
 @pytest.mark.parametrize("j", range(1, 7))

@@ -100,7 +100,7 @@ def _ref_mn(mu, cycles):
     return total
 
 
-@pytest.mark.parametrize("n", range(0, 11))
+@pytest.mark.parametrize("n", range(0, 13))
 def test_character_table_matches_reference_recursion(n):
     table = character_table(n)
     parts = partitions(n)
@@ -120,11 +120,29 @@ def test_character_table_24_sampled_against_reference():
     assert sum(row[-1] ** 2 for row in table) == factorial(24)
 
 
-def test_degree_past_int64_refused_before_anything_is_built(monkeypatch):
-    def no_table(mu):
-        raise AssertionError(f"a table was built (border strips of {mu})")
+def test_bead_masks_fit_uint64_up_to_the_degree_bound(monkeypatch):
+    # n = 32 reaches bit 63; every mask reads back as its partition, and
+    # the masks are distinct and decreasing in partitions order
+    def no_table(n):
+        raise AssertionError(f"a table was built (degree {n})")
 
-    monkeypatch.setattr(specht, "_border_strips", no_table)
+    monkeypatch.setattr(specht, "_table", no_table)
+    n = 32
+    masks = specht._bead_masks(n)
+    assert masks.dtype == np.uint64
+    assert (masks[:-1] > masks[1:]).all()
+    for mu, mask in zip(partitions(n), masks.tolist()):
+        beads = [b for b in range(63, -1, -1) if mask >> b & 1]
+        assert len(beads) == n
+        assert tuple(p for i, b in enumerate(beads) if (p := b - (n - 1 - i))) == mu
+    assert int(masks[0]) == (1 << 63) | ((1 << 31) - 1)  # (32): one bead at 63
+
+
+def test_degree_past_int64_refused_before_anything_is_built(monkeypatch):
+    def no_table(n):
+        raise AssertionError(f"a table was built (bead masks of degree {n})")
+
+    monkeypatch.setattr(specht, "_bead_masks", no_table)
     calls = (
         lambda: character_table(33),
         lambda: irreducible_character((33,)),
