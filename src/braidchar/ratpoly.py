@@ -210,19 +210,22 @@ def scaled_cycle_polynomial(lam: Partition) -> tuple[int, ...]:
 
     The product of the factors j M_j(z) - i j over i < m_j, monic of degree
     |lam|.  It starts from the cached polynomial of lam without its group
-    of smallest parts, j = lam[-1], and multiplies in only that group's m_j
-    sparse factors, schoolbook; so partitions that share their larger parts
-    share the product, the recursion is as deep as lam has distinct parts,
-    and the cache holds one entry per partition reached.
+    of largest parts, j = lam[0], and multiplies in only that group's m_j
+    sparse factors, schoolbook.  So partitions that share their smaller
+    parts share that product, the recursion is as deep as lam has distinct
+    parts, and the cache holds one entry per partition reached.  The
+    largest parts go in last: each factor is one pass over the product so
+    far, and the small parts, which bring the most factors, pass over it
+    while it is still short.
 
     >>> scaled_cycle_polynomial((2, 1, 1))
     (0, 0, 1, -2, 1)
     """
     if not lam:
         return (1,)
-    j = lam[-1]
+    j = lam[0]
     m = lam.count(j)
-    out = scaled_cycle_polynomial(lam[:-m])
+    out = scaled_cycle_polynomial(lam[m:])
     terms = [(j // d, moebius(d)) for d in divisors(j) if moebius(d)]
     for i in range(m):
         product = [0] * (len(out) + j)

@@ -138,7 +138,7 @@ def test_cycle_polynomial_validates_partition():
 def test_scaled_cycle_polynomial_matches_binomial_product():
     """The integer product equals z_lam prod_j binom(M_j, m_j), formed over Q."""
     # past n = 12: one long group of ones, and eleven distinct parts, the
-    # deepest recursion over smallest-part groups
+    # deepest recursion over part groups
     cases = [lam for n in range(1, 13) for lam in partitions(n)]
     cases += [(1,) * 60, tuple(range(11, 0, -1))]
     for lam in cases:
