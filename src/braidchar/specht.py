@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, frexp, lcm
+
 import numpy as np
 
 from .characters import ClassFunction
@@ -133,12 +134,13 @@ def _table(n: int) -> np.ndarray:
         )
         rows, beads = np.nonzero(bits.view(bool))
         beads = beads.astype(np.uint64)
+        held = masks[rows]
         # the sign is the parity of the beads the move jumps over
         between = (one << beads) - (one << (beads - shift + one))
-        signs = 1 - 2 * _parity(masks[rows] & between).astype(np.int64)
+        signs = 1 - 2 * _parity(held & between).astype(np.int64)
         # mu - strip keeps n beads, the low t of them at 0..t-1, so shifting
         # them off gives its n - t bead mask, looked up in the decreasing array
-        moved = (masks[rows] ^ (one << beads) ^ (one << (beads - shift))) >> shift
+        moved = (held ^ (one << beads) ^ (one << (beads - shift))) >> shift
         smaller = _table(n - t)
         sources = len(smaller) - 1 - np.searchsorted(_bead_masks(n - t)[::-1], moved)
         tails = smaller[sources, len(smaller) - width :] * signs[:, None]
