@@ -16,30 +16,39 @@ Two census engines produce identical tallies:
   one with per-polynomial gcd and trial division; it is the tests'
   independent reference, and
 * a vectorized engine (numpy), the one every census runs.  It counts one
-  polynomial per orbit of the substitutions f(x) -> f(x + a) and
-  f(x) -> c^(-n) f(c x), which keep the factorization type and
-  square-freeness, and weights each count by the orbit's size.  The
-  enumerated codes are one range [0, N), cut into one or two slices that
-  each fix the top digits (see _orbit_slices): a_{n-1} = 0 with weight p
-  when p does not divide n; a_{n-1} = 0 with weight 1 and a_{n-1} = 1,
-  a_{n-2} = 0 with weight p (p - 1) when an odd p divides n; every code
-  when p = 2 divides n.  The counts are exact: the maps a slice's weight
-  counts act on it freely, and they carry the enumerated codes onto every
-  monic polynomial exactly once.  On those codes it runs the gcd batched
-  over blocks, and replaces trial division by a factor sieve: for each
-  irreducible g of degree e <= n/2 it writes the factorization type of
-  every product g * h in the slices, that of h (read from the whole degree
-  n - e table, built by the same sieve) with a part e added, and flags
-  every multiple g^2 * k in the slices as having a repeated factor.  Fixing
-  a product's top digits fixes h's, so each g runs over one range of h per
-  slice.  The writes may come in any order, since each one writes the
-  same value.
+  polynomial per orbit of the affine group G = {x -> c x + a}, acting by
+  f(x) -> c^(-n) f(c x + a), which keeps the factorization type and
+  square-freeness.  It enumerates a few sections, each a prefix class of
+  codes (its top digits fixed), and weights each by |G| / |H|, H the maps
+  that keep the section (see _orbit_slices for the sections of each case
+  and why): every orbit meets exactly one section, in one H-orbit, so the
+  weighted counts are exact and the weights times the section sizes sum
+  to p^n.  Reading s = a_{n-2}: {a_{n-1} = 0} with weight p when p = 2
+  and n is odd; {a_{n-1} = s = 0} and {a_{n-1} = 1} with weights 2 and 1
+  when n = 2 mod 4, and {a_{n-1} = 0} and {a_{n-1} = 1, s = 0} with
+  weights 1 and 2 when 4 | n; {a_{n-1} = 0} split by the square class of
+  s when an odd p does not divide n; and when it does, {a_{n-1} = 1,
+  s = 0} with weight p (p - 1), {a_{n-1} = 0, s = s*} with weight 1, and
+  {a_{n-1} = 0, s, a_{n-3} = 0} for one s per class, where s* is the s at
+  which translation fixes a_{n-3}.  Sections may leave gaps; the arrays
+  are indexed by code up to the last one's end.  On the sections it runs
+  the gcd batched over blocks, and replaces trial division by a factor
+  sieve: for each degree e <= n/2 and all irreducibles g of degree e
+  together it writes the factorization type of every product g * h in the
+  sections, that of h (read from the whole degree n - e table, built by
+  the same sieve) with a part e added, and flags every multiple g^2 * k in
+  the sections as having a repeated factor.  Fixing a product's top
+  digits fixes h's, so each g runs over one range of h per section; the
+  starts of those ranges are solved for every g at once, and the products
+  are formed in batches of about _BATCH, so the sieve's cost follows the
+  codes it writes.  The writes may come in any order, since each one
+  writes the same value.
 
 The vectorized engine always cross-checks every enumerated code's gcd
 square-freeness verdict against the sieve's repeated-factor flag (a
 repeated factor must appear exactly when the gcd is nonconstant), and the
 irreducible count of every degree against the necklace polynomial value
-M_d(p), weighted by the slices at degree n, and raises if either check
+M_d(p), weighted by the sections at degree n, and raises if either check
 fails.
 
 Its batched gcd packs each polynomial into one uint64 word of n + 1
@@ -64,10 +73,10 @@ count), never more than it has gcd blocks; numpy releases the interpreter
 lock in the loops that do the work.  The packed kernel's tables are built
 first, on the calling thread.  The factor sieve is then the first task of
 the pool, so that it runs beside the gcd blocks, none of which reads it:
-each block writes its square-free verdicts into its own part of one
-array, sized to the enumerated codes, and the calling thread cross-checks
-the whole array and counts it slice by slice, with the slices' weights,
-once the pool is done.  With one thread, or one block, all of it runs
+each block, which lies in one section, writes its square-free verdicts
+into its own part of one array indexed by code, and the calling thread
+cross-checks and counts it section by section, with the sections'
+weights, once the pool is done.  With one thread, or one block, all of it runs
 serially on the calling thread.  With w threads each block has _BLOCK // w rows, so
 about _BLOCK rows are in flight at any time and peak memory does not grow
 with the number of threads.
@@ -76,12 +85,13 @@ with the number of threads.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -93,6 +103,7 @@ PolyCoeffs = tuple[int, ...]
 
 DEFAULT_BUDGET = 10**7
 _BLOCK = 1 << 18
+_BATCH = 1 << 16  # products formed at once by the factor sieve
 _PIECE = 1 << 12  # largest digit-run table of the packed kernel
 
 
@@ -114,7 +125,7 @@ def _candidates(p: int, n: int, budget: int, what: str) -> int:
     """p**n, or BudgetError when it exceeds ``budget``.
 
     The budget bounds p**n, the polynomials a census counts, not the fewer
-    codes it enumerates, one per orbit (see _orbit_slices).
+    codes it enumerates, a few per orbit (see _orbit_slices).
 
     Callers run this before the primality test, a trial division.  When p**n
     would have over four times the budget's bits it is refused unformed: then
@@ -363,9 +374,9 @@ class CensusRow:
 class CensusReport:
     """A census cell's counts beside the theory's.
 
-    ``candidates`` is the number of codes the census enumerated, one per
-    orbit (see _orbit_slices); the budget counts p^n, all the polynomials
-    those codes stand for.
+    ``candidates`` is the number of codes the census enumerated, the sizes
+    of its sections summed (see _orbit_slices); the budget counts p^n, all
+    the polynomials those codes stand for.
     """
 
     p: int
@@ -418,69 +429,81 @@ class _FactorTable(NamedTuple):
 
 
 def _orbit_slices(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
-    """The code ranges (lo, hi, weight) the census enumerates at degree n.
+    """The sections (lo, hi, weight) of degree-n codes that the census enumerates.
 
-    f(x) -> f(x + a) and f(x) -> c^(-n) f(c x), for a in F_p and c in F_p^*,
-    preserve monic degree n, the factorization type and square-freeness, so
-    each code may stand for the codes of its orbit.  A code's top base-p
-    digit is a_{n-1}, the next one a_{n-2}:
+    The affine group G = {x -> c x + a}, of order p (p - 1), acts on monic
+    degree-n polynomials by f(x) -> c^(-n) f(c x + a), which keeps the
+    factorization type and square-freeness.  Each section is a prefix class,
+    the codes that share the top digits of lo (hi - lo is a power of p), and
+    its weight is |G| / |H|, H the maps that keep it.  Every orbit O meets
+    exactly one section, and every map that carries one of its codes into
+    it lies in H; so O meets it in one H-orbit, of |O| |H| / |G| codes, and
+    the weights count O exactly.
 
-    * p does not divide n: translation sends a_{n-1} to a_{n-1} + n a, so F_p
-      acts freely and every orbit meets a_{n-1} = 0 once: [0, p^(n-1)),
-      weight p;
-    * p divides n, p odd: scaling sends a_{n-1} to a_{n-1} / c.  The codes
-      with a_{n-1} = 0 are counted once each, and every other orbit of
-      scaling meets a_{n-1} = 1 once.  There translation fixes a_{n-1} and
-      sends a_{n-2} to a_{n-2} - a, since binom(n, 2) = 0 and n - 1 = -1 mod
-      p, so it meets a_{n-2} = 0 once too: [p^(n-1), p^(n-1) + p^(n-2)),
-      weight p (p - 1);
-    * p = 2 divides n: neither applies, and the whole range has weight 1.
+    Digits are read from the top, with s = a_{n-2}.  Translation by a sends
+    a_{n-1} to a_{n-1} + n a and s to s + (n - 1) a_{n-1} a + binom(n, 2) a^2;
+    where p | n and a_{n-1} = 0 it sends a_{n-3} to a_{n-3} + kappa(s) a,
+    kappa(s) = (n - 2) s + binom(n, 3), since a^3 = a when p = 3 and
+    p | binom(n, 3) when p > 3.  Scaling by c divides a_{n-i} by c^i.  k + 1
+    is the least non-square mod p, so k is a square.
 
-    Each slice is the set of codes whose top digits are those of lo, with
-    hi - lo a power of p, and the slices tile [0, hi) of the last one in
-    order, so the census enumerates one range of codes.
+    * p = 2, n odd (or any p, n = 1): translation moves a_{n-1} freely:
+      {a_{n-1} = 0}, weight p;
+    * p = 2, n = 2 mod 4: binom(n, 2) is odd, so translation adds
+      (a_{n-1} + 1) a to s, moving it freely where a_{n-1} = 0 and fixing
+      it where a_{n-1} = 1: {a_{n-1} = s = 0}, weight 2, and {a_{n-1} = 1},
+      weight 1;
+    * p = 2, n = 0 mod 4: translation adds a_{n-1} a to s: {a_{n-1} = 0},
+      weight 1, and {a_{n-1} = 1, s = 0}, weight 2;
+    * odd p not dividing n: translation moves a_{n-1} freely, and on
+      a_{n-1} = 0 scaling multiplies s by the squares c^(-2), whose classes
+      are 0 (H the scalings) and the squares and the non-squares
+      (H = {x -> +-x}): {a_{n-1} = s = 0}, weight p, and {a_{n-1} = 0, s = k}
+      and {a_{n-1} = 0, s = k + 1}, weight p (p - 1) / 2.  For p = 3 they
+      tile {a_{n-1} = 0}, one section of weight 3;
+    * odd p dividing n: translation fixes a_{n-1}, and scaling brings a
+      nonzero one to 1, where translation sends s to s - a:
+      {a_{n-1} = 1, s = 0}, weight p (p - 1).  On a_{n-1} = 0 translation
+      fixes s.  At the root s* of kappa (0 when p > 3) it fixes a_{n-3},
+      and scaling keeps s* too: {a_{n-1} = 0, s = s*}, weight 1.  At any
+      other s translation moves a_{n-3} freely, and the scalings that keep
+      s, c = +-1, keep a_{n-3} = 0: {a_{n-1} = 0, s, a_{n-3} = 0}, weight
+      p (p - 1) / 2, for one s per class under the squares: each s != s*
+      when p = 3, where every c^2 = 1, and s = k and s = k + 1 when p > 3.
+
+    The sections are disjoint and in increasing order, and may leave gaps
+    between them; the census indexes its arrays by code up to the last
+    section's end.
 
     >>> _orbit_slices(3, 6)
-    ((0, 243, 1), (243, 324, 6))
+    ((0, 27, 3), (81, 162, 1), (162, 189, 3), (243, 324, 6))
     """
     top = p ** (n - 1)
-    if n % p:
+    if p == 2 and n % 2 or n == 1 or p == 3 and n % p:
         return ((0, top, p),)
     if p == 2:
-        return ((0, 2 * top, 1),)
-    return ((0, top, 1), (top, top + top // p, p * (p - 1)))
+        if n % 4 == 2:
+            return ((0, top // 2, 2), (top, 2 * top, 1))
+        return ((0, top, 1), (top, top + top // 2, 2))
+    half = p * (p - 1) // 2
+    k = next(s for s in range(1, p) if pow(s + 1, (p - 1) // 2, p) != 1)
+    t2 = top // p
+    if n % p:
+        return ((0, t2, p), (k * t2, (k + 1) * t2, half), ((k + 1) * t2, (k + 2) * t2, half))
+    t3 = t2 // p
+    s_star = next(s for s in range(p) if ((n - 2) * s + math.comb(n, 3)) % p == 0)
+    others = [s for s in range(p) if s != s_star] if p == 3 else [k, k + 1]
+    sections = [(s_star * t2, (s_star + 1) * t2, 1)]
+    sections += [(s * t2, s * t2 + t3, half) for s in others]
+    return tuple(sorted(sections)) + ((top, top + t2, p * (p - 1)),)
 
 
-def _cofactor_range(
-    p: int, d: int, g: PolyCoeffs, hdeg: int, lo: int, hi: int
-) -> tuple[int, int]:
-    """The codes [hlo, hhi) of the monic h of degree hdeg with g * h in [lo, hi).
-
-    [lo, hi) is a slice: hi - lo = p^(d - m), and its degree-d codes share
-    their top m digits, those of lo.  Reversed, with G(y) = y^e g(1/y),
-    H(y) = y^hdeg h(1/y) and A(y) = y^d (g h)(1/y), the product is A = G H,
-    so the top digits of h are the coefficients of H = A / G below
-    y^(m + 1), from the fixed coefficients of A.  They are one contiguous
-    range of codes.  H has degree hdeg, so its coefficients past y^hdeg
-    must come out 0, or no h qualifies.
-    """
-    e = len(g) - 1
-    fixed = []  # the fixed digits of x^(d - 1), x^(d - 2), ...
-    scale = p ** (d - 1)
-    while scale >= hi - lo:
-        fixed.append(lo // scale % p)
-        scale //= p
-    big_h = [1]
-    for i, a in enumerate(fixed, 1):
-        big_h.append((a - sum(g[e - j] * big_h[i - j] for j in range(1, min(i, e) + 1))) % p)
-    if any(big_h[hdeg + 1 :]):
-        return 0, 0
-    m = min(len(fixed), hdeg)
-    top = 0
-    for digit in big_h[1 : m + 1]:
-        top = top * p + digit
-    rest = p ** (hdeg - m)
-    return top * rest, (top + 1) * rest
+def _int_dtype(bound: int) -> np.dtype:
+    """Narrowest signed integer dtype that holds bound, or int64."""
+    for dt in (np.int8, np.int16, np.int32):
+        if bound <= np.iinfo(dt).max:
+            return np.dtype(dt)
+    return np.dtype(np.int64)
 
 
 def _coeff_dtype(p: int, terms: int = 1) -> np.dtype:
@@ -490,11 +513,7 @@ def _coeff_dtype(p: int, terms: int = 1) -> np.dtype:
     those of a multiplier and the sums of up to ``terms`` such products
     all live in this type, so nothing wraps for any p.
     """
-    bound = terms * (p - 1) ** 2
-    for dt in (np.int8, np.int16, np.int32):
-        if bound <= np.iinfo(dt).max:
-            return np.dtype(dt)
-    return np.dtype(np.int64)
+    return _int_dtype(terms * (p - 1) ** 2)
 
 
 def _reduce(x: np.ndarray, p: int) -> np.ndarray:
@@ -516,68 +535,202 @@ def _write_digits(p: int, codes: np.ndarray, out: np.ndarray) -> None:
         c = q
 
 
-def _products(p: int, d: int, hdeg: int) -> Callable[[PolyCoeffs, int, int], np.ndarray]:
-    """times(g, lo, hi): the codes of g * h for the monic h of degree hdeg with
-    codes in [lo, hi), in h's order.
+def _read_codes(digits: np.ndarray, p: int, code_dtype: np.dtype) -> np.ndarray:
+    """The codes sum_i digits[i] p^i of digit rows below p, least significant first.
 
-    g is a monic coefficient tuple of degree d - hdeg.  Over F_2 a product
-    has no carries: its code is h << (d - hdeg), which leaves out the x^d of
-    the leading term, XORed with h << j over the set bits j of g below its
-    leading one.  Over odd p it is summed on digit rows, reduced mod p and
-    read back by one dot product with the powers of p.
+    Rows are merged in pairs, x[2i] + q x[2i + 1] with q the base of the
+    last level (p, then p^2, p^4, ...), each level in the narrowest dtype
+    that holds q^2 - 1, so most of the work is done on narrow rows.
     """
-    hsize = p**hdeg
+    q = p
+    while len(digits) > 1:
+        pairs = len(digits) // 2
+        merged = np.empty_like(digits[: pairs + len(digits) % 2], _int_dtype(q * q - 1))
+        merged[:pairs] = digits[1 : 2 * pairs : 2]
+        merged[:pairs] *= q
+        merged[:pairs] += digits[0 : 2 * pairs : 2]
+        merged[pairs:] = digits[2 * pairs :]
+        digits, q = merged, q * q
+    return digits[0].astype(code_dtype, copy=False)
+
+
+def _monic_rows(p: int, degree: int, codes: np.ndarray) -> np.ndarray:
+    """Coefficient rows (degree + 1, len(codes)) of monic codes, constant first."""
+    rows = np.empty((degree + 1, codes.size), np.int64)
+    _write_digits(p, codes, rows[:degree])
+    rows[degree] = 1
+    return rows
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Coefficient rows of the products of the columns of a and b, mod p."""
+    out = np.zeros((len(a) + len(b) - 1, a.shape[1]), np.int64)
+    for j, aj in enumerate(a):
+        out[j : j + len(b)] += aj * b
+    return _reduce(out, p)
+
+
+def _cofactor_starts(
+    p: int, d: int, g: np.ndarray, hdeg: int, lo: int, hi: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Where the monic h of degree hdeg with g * h in the slice [lo, hi) lie.
+
+    g holds monic multipliers of degree e = d - hdeg as coefficient rows
+    (e + 1, G).  [lo, hi) is a slice: hi - lo = p^(d - m), and its degree-d
+    codes share their top m digits, those of lo.  Reversed, with
+    G(y) = y^e g(1/y), H(y) = y^hdeg h(1/y) and A(y) = y^d (g h)(1/y), the
+    product is A = G H, so the top digits of h are the coefficients of
+    H = A / G below y^(m + 1), from the fixed coefficients of A; they are
+    solved for every g at once.  H has degree hdeg, so its coefficients past
+    y^hdeg must come out 0, or no h qualifies.  The h of one g are then one
+    range of codes, and every range has the same length p^(hdeg - min(m, hdeg)).
+
+    Returns (cols, starts, length): the columns of g with a nonempty range,
+    the first code of each range, and the length.
+    """
+    e = len(g) - 1
+    fixed = []  # the fixed digits of x^(d - 1), x^(d - 2), ...
+    scale = p ** (d - 1)
+    while scale >= hi - lo:
+        fixed.append(lo // scale % p)
+        scale //= p
+    big_h = [np.ones(g.shape[1], np.int64)]
+    for i, a in enumerate(fixed, 1):
+        coeff = np.full(g.shape[1], a, np.int64)
+        for j in range(1, min(i, e) + 1):
+            coeff -= g[e - j] * big_h[i - j]
+        big_h.append(coeff % p)
+    ok = np.ones(g.shape[1], bool)
+    for coeff in big_h[hdeg + 1 :]:
+        ok &= coeff == 0
+    m = min(len(fixed), hdeg)
+    top = np.zeros(g.shape[1], np.int64)
+    for coeff in big_h[1 : m + 1]:
+        top = top * p + coeff
+    length = p ** (hdeg - m)
+    cols = np.flatnonzero(ok)
+    return cols, top[cols] * length, length
+
+
+@lru_cache(maxsize=None)
+def _digit_table(p: int, digits: int) -> np.ndarray:
+    """The base-p digits of every code below p^digits, one row per digit."""
+    rows = np.empty((digits, p**digits), _coeff_dtype(p))
+    _write_digits(p, np.arange(p**digits), rows)
+    return rows
+
+
+def _batch_array(lead: tuple[int, ...], piece: int, columns: int, dtype) -> np.ndarray:
+    """An empty array of shape lead + (piece, columns), laid out with the
+    longer of its last two axes innermost, so that the loops over it are long."""
+    if piece > columns:
+        return np.empty(lead + (columns, piece), dtype).swapaxes(-1, -2)
+    return np.empty(lead + (piece, columns), dtype)
+
+
+def _products(p: int, d: int, g: np.ndarray, base: np.ndarray, r: int) -> np.ndarray:
+    """codes[t, b]: the code of g[:, b] * (H_b + t(x)) for every t below p^r.
+
+    H_b is a monic prefix with no terms below x^r, base[:, b] holds the
+    coefficients of g[:, b] * H_b from x^r up, and t(x) is the polynomial of
+    code t, of degree below r, the same in every column.  g * t adds to the
+    base only below x^(e + r), e the degree of g.
+
+    Over F_2 a code is the XOR of its terms, so codes[0] is the base and
+    the rows t < 2^(b + 1) are those below 2^b XORed with g << b, doubled b
+    by b.  Over odd p the coefficients below x^(e + r) are the base's plus
+    those of g * t, summed on digit rows, reduced mod p and read as codes
+    by _read_codes; the base above them is added as one integer per column.
+    """
+    e = len(g) - 1
+    piece, columns = p**r, g.shape[1]
     code_dtype = np.int32 if p**d <= np.iinfo(np.int32).max else np.int64
-    hcodes = np.arange(hsize, dtype=code_dtype)
+    powers = p ** np.arange(d + 1, dtype=code_dtype)
     if p == 2:
-        hfull = hcodes | hsize  # the code of h with its leading x^hdeg
-        shifted = np.empty_like(hcodes)
+        g_codes = (powers[: e + 1] @ g).astype(code_dtype)
+        codes = _batch_array((), piece, columns, code_dtype)
+        codes[0] = powers[r:d] @ base[:-1]
+        for b in range(r):
+            np.bitwise_xor(codes[: 1 << b], g_codes << b, out=codes[1 << b : 2 << b])
+        return codes
+    row_dtype = _coeff_dtype(p, e + 2)
+    low = _batch_array((e + r,), piece, columns, row_dtype)
+    low[:r] = 0
+    low[r:] = base[:e, None, :]
+    t = _digit_table(p, r)[:, :, None]
+    term = np.empty_like(low[:r])
+    for j, gj in enumerate(g.astype(row_dtype)):
+        if j == e:
+            low[j : j + r] += t
+        elif gj.any():
+            low[j : j + r] += np.multiply(t, gj, out=term)
+    codes = _read_codes(_reduce(low, p), p, code_dtype)
+    codes += (powers[e + r : d] @ base[e : d - r]).astype(code_dtype)
+    return codes
 
-        def times(g: PolyCoeffs, lo: int, hi: int) -> np.ndarray:
-            codes = hcodes[lo:hi] << (d - hdeg)
-            for j, gj in enumerate(g[:-1]):
-                if gj:
-                    codes ^= np.left_shift(hfull[lo:hi], j, out=shifted[: hi - lo])
-            return codes
 
-        return times
-    # row i of hfull (of prod) is the x^i coefficient of every h (of every
-    # product g * h below x^d), so each row is contiguous
-    hfull = np.empty((hdeg + 1, hsize), _coeff_dtype(p))
-    _write_digits(p, hcodes, hfull[:hdeg])
-    hfull[hdeg] = 1
-    prod_dtype = _coeff_dtype(p, d - hdeg + 1)
-    powers = p ** np.arange(d, dtype=code_dtype)
+def _multiples(
+    p: int, d: int, g: np.ndarray, slices: Sequence[tuple[int, int, int]]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The codes of every product g * h in the slices, in batches.
 
-    def times(g: PolyCoeffs, lo: int, hi: int) -> np.ndarray:
-        h = hfull[:, lo:hi]
-        prod = np.zeros((d, hi - lo), prod_dtype)
-        for j, gj in enumerate(g):
-            if gj:
-                top = min(j + hdeg + 1, d)
-                prod[j:top] += gj * h[: top - j]
-        # einsum casts the digit rows to code_dtype in small buffers, where
-        # powers @ prod would first copy all of them
-        return np.einsum("i,ij->j", powers, _reduce(prod, p), dtype=code_dtype)
+    g holds monic multipliers of degree e as coefficient rows (e + 1, G),
+    and h runs over the monic polynomials of degree d - e.  Yields
+    (codes, cols, starts): codes[t, b] is the code of g[:, cols[b]] times
+    the h of code starts[b] + t, for t below codes.shape[0], a power of p
+    no larger than the ranges of _cofactor_starts; longer ranges are cut
+    into pieces of that length.  A batch holds about _BATCH products.
+    Each start is a multiple of the length p^r, so h is a prefix, fixed per
+    column, plus the polynomial of code t (see _products).
+    """
+    e = len(g) - 1
+    hdeg = d - e
+    widest = 0  # digits of the longest piece
+    while widest < hdeg and p ** (widest + 1) <= _BATCH:
+        widest += 1
+    for lo, hi, _ in slices:
+        cols, starts, length = _cofactor_starts(p, d, g, hdeg, lo, hi)
+        r = widest
+        while p**r > length:
+            r -= 1
+        piece = p**r
+        if length > piece:
+            offsets = np.arange(0, length, piece)
+            cols = np.repeat(cols, offsets.size)
+            starts = (starts[:, None] + offsets).ravel()
+        per = max(1, _BATCH // piece)
+        for i in range(0, cols.size, per):
+            c, s = cols[i : i + per], starts[i : i + per]
+            base = _convolve(g[:, c], _monic_rows(p, hdeg - r, s // piece), p)
+            yield _products(p, d, g[:, c], base, r), c, s
 
-    return times
+
+def _cofactor_values(table: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """table[starts[b] + t] at [t, b], for starts that are multiples of length.
+
+    One start is read as a slice view, several as a gather of whole rows.
+    """
+    if starts.size == 1:
+        return table[int(starts[0]) : int(starts[0]) + length, None]
+    return table.reshape(-1, length)[starts // length].T
 
 
 def _sieve(
     p: int, d: int, slices: Sequence[tuple[int, int, int]], squares: bool
 ) -> _FactorTable:
     """Factorization type, and with ``squares`` the repeated-factor flag, of
-    each degree-d code in the slices, indexed by code.  The slices
-    (lo, hi, weight) tile [0, hi) of the last one in order.
+    each degree-d code in the slices, indexed by code up to the last slice's
+    end.  The slices (lo, hi, weight) are disjoint prefix classes.
 
-    For every e <= d/2 and every irreducible g of degree e, in any order:
+    For every e <= d/2, all irreducibles g of degree e together (see
+    _multiples):
 
     * the type of g * h is that of h with a part e added, for every monic h
-      of degree d - e with g * h in a slice (one range of h per slice, see
-      _cofactor_range), read from the whole degree d - e table.  Each write
-      to a code writes that code's type, and every reducible code has an
-      irreducible factor of degree <= d/2, so the codes never written are
-      the irreducibles, with ftype 0, the index of (d,);
+      of degree d - e with g * h in a slice, read from the whole degree
+      d - e table.  Each write to a code writes that code's type, and every
+      reducible code has an irreducible factor of degree <= d/2, so the
+      codes never written are the irreducibles, with ftype 0, the index of
+      (d,), and the codes outside the slices;
     * g^2 * k has a repeated factor, for every monic k of degree d - 2e
       (k = 1 when d = 2e) with g^2 * k in a slice.  A code has a repeated
       factor exactly when it is divisible by such a square.
@@ -594,19 +747,12 @@ def _sieve(
             type_index[tuple(sorted(mu + (e,), reverse=True))] for mu in partitions(d - e)
         ]
         htype = np.array(add_e, ftype.dtype)[_factor_table(p, d - e)]
-        times_h = _products(p, d, d - e)
-        times_k = _products(p, d, d - 2 * e) if squares else None
-        for gc in _irreducible_codes(p, e).tolist():
-            g = poly_from_code(gc, e, p)
-            g2 = poly_mul(g, g, p) if squares else None
-            for lo, hi, _ in slices:
-                hlo, hhi = _cofactor_range(p, d, g, d - e, lo, hi)
-                if hlo < hhi:
-                    ftype[times_h(g, hlo, hhi)] = htype[hlo:hhi]
-                if squares:
-                    klo, khi = _cofactor_range(p, d, g2, d - 2 * e, lo, hi)
-                    if klo < khi:
-                        repeated[times_k(g2, klo, khi)] = True
+        g = _monic_rows(p, e, _irreducible_codes(p, e))
+        for codes, _, starts in _multiples(p, d, g, slices):
+            ftype[codes] = _cofactor_values(htype, starts, codes.shape[0])
+        if squares:
+            for codes, _, _ in _multiples(p, d, _convolve(g, g, p), slices):
+                repeated[codes] = True
     irreducible = sum(
         weight * (hi - lo - np.count_nonzero(ftype[lo:hi])) for lo, hi, weight in slices
     )
@@ -879,12 +1025,14 @@ def _census_vector(
     # for a word is refused before any factor table is built
     _, setup = _timed(_packed_tables, p, n)
     slices = _orbit_slices(p, n)
-    total = slices[-1][1]  # the codes enumerated, [0, total)
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
-    bounds = [(lo, min(lo + block, total)) for lo in range(0, total, block)]
+    bounds = [
+        (lo, min(lo + block, hi)) for start, hi, _ in slices for lo in range(start, hi, block)
+    ]
     threads = min(threads, len(bounds))
-    repeated = np.empty(total, bool)
+    # indexed by code; the gaps between the slices are never read
+    repeated = np.empty(slices[-1][1], bool)
 
     def gcd_block(lo: int, hi: int) -> None:
         # each block writes its own slice of repeated, so no two threads
@@ -907,12 +1055,12 @@ def _census_vector(
         results = [future.result() for future in futures if not future.cancelled()]
     (table, sieve_seconds), *blocks = results
     start = time.perf_counter()
-    if not np.array_equal(table.repeated, repeated):
-        raise RuntimeError(
-            f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
-        )
     counts = np.zeros(len(partitions(n)), np.int64)
     for lo, hi, weight in slices:
+        if not np.array_equal(table.repeated[lo:hi], repeated[lo:hi]):
+            raise RuntimeError(
+                f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
+            )
         squarefree = table.ftype[lo:hi][~repeated[lo:hi]]
         counts += weight * np.bincount(squarefree, minlength=counts.size)
     seconds = {
@@ -980,7 +1128,7 @@ def census_vs_theory(
         if n >= 2:
             ok = ok and measure_value(lam, p) * expected_total == count
         rows.append(CensusRow(lam, count, predicted, ok))
-    candidates = _orbit_slices(p, n)[-1][1]
+    candidates = sum(hi - lo for lo, hi, _ in _orbit_slices(p, n))
     return CensusReport(
         p,
         n,

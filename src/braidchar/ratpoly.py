@@ -205,6 +205,12 @@ def poly_binomial(p: RatPoly, m: int) -> RatPoly:
 
 
 @cache
+def _necklace_terms(j: int) -> tuple[tuple[int, int], ...]:
+    """The nonzero terms (power, coefficient) of j M_j(z) = sum over d | j of mu(d) z^(j/d)."""
+    return tuple((j // d, mu) for d in divisors(j) if (mu := moebius(d)))
+
+
+@cache
 def scaled_cycle_polynomial(lam: Partition) -> tuple[int, ...]:
     """z_lam N_lam(z) as integer coefficients, constant term first.
 
@@ -226,10 +232,10 @@ def scaled_cycle_polynomial(lam: Partition) -> tuple[int, ...]:
     j = lam[0]
     m = lam.count(j)
     out = scaled_cycle_polynomial(lam[m:])
-    terms = [(j // d, moebius(d)) for d in divisors(j) if moebius(d)]
+    terms = _necklace_terms(j)
     for i in range(m):
         product = [0] * (len(out) + j)
-        for e, c in [*terms, (0, -i * j)]:
+        for e, c in (*terms, (0, -i * j)):
             for t, a in enumerate(out, e):
                 product[t] += c * a
         out = product

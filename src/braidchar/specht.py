@@ -143,7 +143,8 @@ def _table(n: int) -> np.ndarray:
         moved = (held ^ (one << beads) ^ (one << (beads - shift))) >> shift
         smaller = _table(n - t)
         sources = len(smaller) - 1 - np.searchsorted(_bead_masks(n - t)[::-1], moved)
-        tails = smaller[sources, len(smaller) - width :] * signs[:, None]
+        tails = smaller[sources, len(smaller) - width :]  # a gathered copy, signed in place
+        tails *= signs[:, None]
         firsts = np.flatnonzero(np.diff(rows, prepend=-1))
         table[rows[firsts], col : col + width] = np.add.reduceat(tails, firsts)
         col += width

@@ -1,6 +1,7 @@
 """Finite-field square-free census and its polynomial arithmetic core."""
 
 import functools
+import math
 import random
 import sys
 import threading
@@ -104,45 +105,129 @@ def test_engines_agree():
 @pytest.mark.parametrize(
     "p, n, slices",
     [
+        # p = 2, n odd: translation
         (2, 9, ((0, 256, 2),)),
-        (5, 4, ((0, 125, 5),)),
-        (7, 4, ((0, 343, 7),)),
-        (3, 3, ((0, 9, 1), (9, 12, 6))),
-        (3, 6, ((0, 243, 1), (243, 324, 6))),
-        (5, 5, ((0, 625, 1), (625, 750, 20))),
-        (2, 10, ((0, 1024, 1),)),
+        # odd p not dividing n: s = a_{n-2} = 0, k and k + 1; for p = 7,
+        # k = 2, so the sections leave a gap
+        (5, 4, ((0, 25, 5), (25, 50, 10), (50, 75, 10))),
+        (7, 4, ((0, 49, 7), (98, 147, 21), (147, 196, 21))),
+        # odd p dividing n: s = s* with weight 1, the other classes of s with
+        # a_{n-3} = 0, and a_{n-1} = 1, s = 0; s* = 2 at (3, 3), 1 at (3, 6)
+        # and 0 at (5, 5)
+        (3, 3, ((0, 1, 3), (3, 4, 3), (6, 9, 1), (9, 12, 6))),
+        (3, 6, ((0, 27, 3), (81, 162, 1), (162, 189, 3), (243, 324, 6))),
+        (5, 5, ((0, 125, 1), (125, 150, 10), (250, 275, 10), (625, 750, 20))),
+        # p = 2, n = 2 mod 4
+        (2, 10, ((0, 256, 2), (512, 1024, 1))),
+        (2, 6, ((0, 16, 2), (32, 64, 1))),
+        # p = 2, n = 0 mod 4
+        (2, 8, ((0, 128, 1), (128, 192, 2))),
+        # p = 3 not dividing n: the three sections tile a_{n-1} = 0
+        (3, 4, ((0, 27, 3),)),
     ],
 )
 def test_orbit_census_matches_scalar(p, n, slices):
-    # translation (p does not divide n), both scaling slices (odd p dividing
-    # n) and the whole range (p = 2, n even), against the scalar engine,
-    # which walks every code
+    # one cell per rule of _orbit_slices against the scalar engine, which
+    # walks every code
     assert fforacle._orbit_slices(p, n) == slices
     tally = factor_type_census(p, n)
     assert list(tally.counts.items()) == list(fforacle._census_scalar(p, n).items())
     assert census_vs_theory(p, n).candidates == sum(hi - lo for lo, hi, _ in slices)
 
 
+def census_cells(bound):
+    """Every (p, n) with p < 60 prime and p^n <= bound."""
+    for p in filter(is_prime, range(60)):
+        n = 1
+        while p**n <= bound:
+            yield p, n
+            n += 1
+
+
+def test_sections_tile_the_weighted_codes():
+    # census-free: every section is a prefix class, after the last one, and
+    # the weights, each a divisor of |G| = p (p - 1), count every code
+    cells = list(census_cells(10**12))
+    assert len(cells) == 198
+    for p, n in cells:
+        slices = fforacle._orbit_slices(p, n)
+        end = 0
+        for lo, hi, weight in slices:
+            width = hi - lo
+            assert lo >= end and width >= 1, (p, n, slices)
+            assert p**n % width == 0 and lo % width == 0, (p, n, slices)
+            assert p * (p - 1) % weight == 0, (p, n, slices)
+            end = hi
+        assert end <= p**n
+        assert sum(weight * (hi - lo) for lo, hi, weight in slices) == p**n, (p, n)
+
+
+def affine_images(p, n, c, a):
+    """The code of c^(-n) f(c x + a) for every monic degree-n code f."""
+    codes = np.arange(p**n)
+    digits = np.empty((n + 1, codes.size), np.int64)
+    for i in range(n):
+        codes, digits[i] = np.divmod(codes, p)
+    digits[n] = 1
+    # (c x + a)^i has x^j coefficient binom(i, j) c^j a^(i - j)
+    subst = np.array(
+        [
+            [math.comb(i, j) * c**j * a ** (i - j) % p if i >= j else 0 for i in range(n + 1)]
+            for j in range(n + 1)
+        ]
+    )
+    image = subst @ digits % p * pow(c, -n, p) % p
+    return p ** np.arange(n) @ image[:n]
+
+
+@pytest.mark.parametrize("p, n", [cell for cell in census_cells(20000) if cell[0] <= 13])
+def test_sections_count_every_affine_orbit_once(p, n):
+    # census-free: for every monic f, the weights of the sections' codes among
+    # its images under the |G| = p (p - 1) maps x -> c x + a sum to |G|, so
+    # every orbit O meets the sections with total weight |O|
+    weight = np.zeros(p**n, np.int64)
+    for lo, hi, w in fforacle._orbit_slices(p, n):
+        weight[lo:hi] = w
+    total = np.zeros(p**n, np.int64)
+    for c in range(1, p):
+        for a in range(p):
+            total += weight[affine_images(p, n, c, a)]
+    assert np.array_equal(total, np.full(p**n, p * (p - 1))), np.flatnonzero(total != p * (p - 1))[:5]
+
+
 @pytest.mark.parametrize("p, d", [(2, 6), (3, 4), (5, 3)])
 def test_cofactor_range_matches_brute_force(p, d):
-    # for every monic g of degree e and every slice of degree-d codes that
-    # fixes the top m digits, the monic h of degree d - e with g * h in the
-    # slice are exactly the range returned; where m exceeds the degree of h,
-    # that is one h or none
+    # every monic g of each degree e at once, on every slice of degree-d
+    # codes that fixes the top m digits: the monic h of degree d - e with
+    # g * h in the slice are exactly the range from the batched starts, and
+    # the batched products are those formed one by one; where m exceeds the
+    # degree of h, that is one h or none
     for e in range(1, d + 1):
         hdeg = d - e
-        for gc in range(p**e):
-            g = poly_from_code(gc, e, p)
-            products = [
-                poly_to_code(poly_mul(g, poly_from_code(h, hdeg, p), p), p)
-                for h in range(p**hdeg)
-            ]
-            for m in range(d + 1):
-                width = p ** (d - m)
-                for lo in range(0, p**d, width):
-                    expected = [h for h, code in enumerate(products) if lo <= code < lo + width]
-                    hlo, hhi = fforacle._cofactor_range(p, d, g, hdeg, lo, lo + width)
-                    assert list(range(hlo, hhi)) == expected, (g, lo, lo + width)
+        g = fforacle._monic_rows(p, e, np.arange(p**e))
+        products = {
+            (gc, h): poly_to_code(poly_mul(poly_from_code(gc, e, p), poly_from_code(h, hdeg, p), p), p)
+            for gc in range(p**e)
+            for h in range(p**hdeg)
+        }
+        for m in range(d + 1):
+            width = p ** (d - m)
+            for lo in range(0, p**d, width):
+                cols, starts, length = fforacle._cofactor_starts(p, d, g, hdeg, lo, lo + width)
+                found = dict(zip(cols.tolist(), starts.tolist()))
+                for gc in range(p**e):
+                    expected = [h for h in range(p**hdeg) if lo <= products[gc, h] < lo + width]
+                    start = found.get(gc)
+                    got = [] if start is None else list(range(start, start + length))
+                    assert got == expected, (gc, lo, lo + width)
+                formed = {}
+                for codes, cols, starts in fforacle._multiples(p, d, g, ((lo, lo + width, 1),)):
+                    for b, (gc, start) in enumerate(zip(cols.tolist(), starts.tolist())):
+                        for t, code in enumerate(codes[:, b].tolist()):
+                            formed[gc, start + t] = code
+                assert formed == {
+                    key: code for key, code in products.items() if lo <= code < lo + width
+                }, (e, lo, lo + width)
 
 
 def test_every_cell_runs_the_vector_engine(monkeypatch):
@@ -430,8 +515,9 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_gcd_disagreement_in_the_second_scaling_slice_raises(workers, monkeypatch):
-    # (3, 6) enumerates [0, 243) and [243, 324); the last code of the second
-    # slice is x^6 + x^5 + 2x^3 + 2x^2 + 2x + 2, at the end of the last block
+    # (3, 6) enumerates four sections, the last one [243, 324) of a_5 = 1,
+    # a_4 = 0; its last code is x^6 + x^5 + 2x^3 + 2x^2 + 2x + 2, at the end
+    # of the last block
     kernel = fforacle._packed_gcd_degree
     corrupted = []
 
@@ -442,7 +528,7 @@ def test_gcd_disagreement_in_the_second_scaling_slice_raises(workers, monkeypatc
             gdeg[row] = int(gdeg[row] == 0)  # flip its square-free verdict
         return gdeg
 
-    monkeypatch.setattr(fforacle, "_BLOCK", 256)  # 2 to 3 blocks, one spanning both slices
+    monkeypatch.setattr(fforacle, "_BLOCK", 256)  # one block per section
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_one_code)
     with pytest.raises(RuntimeError, match="disagrees with factorization"):
         factor_type_census(3, 6, workers=workers)
