@@ -72,14 +72,15 @@ The vectorized census runs on ``workers`` threads (by default the CPU
 count), never more than it has gcd blocks; numpy releases the interpreter
 lock in the loops that do the work.  The packed kernel's tables are built
 first, on the calling thread.  The factor sieve is then the first task of
-the pool, so that it runs beside the gcd blocks, none of which reads it:
-each block, which lies in one section, writes its square-free verdicts
-into its own part of one array indexed by code, and the calling thread
-cross-checks and counts it section by section, with the sections'
-weights, once the pool is done.  With one thread, or one block, all of it runs
-serially on the calling thread.  With w threads each block has _BLOCK // w rows, so
-about _BLOCK rows are in flight at any time and peak memory does not grow
-with the number of threads.
+the pool, so that it runs beside the gcd blocks, none of which reads it.
+A block is a run of up to _BLOCK // w codes of the sections in order, w
+the number of threads, so a small cell is one block however many sections
+it has; each block writes its square-free verdicts into its own part of
+one array indexed by code, and the calling thread cross-checks and counts
+it section by section, with the sections' weights, once the pool is done.
+With one thread, or one block, all of it runs serially on the calling
+thread.  About _BLOCK rows are in flight at any time, so peak memory does
+not grow with the number of threads.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ from .ratpoly import necklace_polynomial, scaled_cycle_polynomial
 PolyCoeffs = tuple[int, ...]
 
 DEFAULT_BUDGET = 10**7
-_BLOCK = 1 << 18
+_BLOCK = 1 << 17  # gcd rows in flight, over all threads
 _BATCH = 1 << 16  # products formed at once by the factor sieve
 _PIECE = 1 << 12  # largest digit-run table of the packed kernel
 
@@ -498,6 +499,7 @@ def _orbit_slices(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(sections)) + ((top, top + t2, p * (p - 1)),)
 
 
+@lru_cache(maxsize=None)
 def _int_dtype(bound: int) -> np.dtype:
     """Narrowest signed integer dtype that holds bound, or int64."""
     for dt in (np.int8, np.int16, np.int32):
@@ -617,6 +619,7 @@ def _digit_table(p: int, digits: int) -> np.ndarray:
     """The base-p digits of every code below p^digits, one row per digit."""
     rows = np.empty((digits, p**digits), _coeff_dtype(p))
     _write_digits(p, np.arange(p**digits), rows)
+    rows.flags.writeable = False  # shared by every caller
     return rows
 
 
@@ -650,8 +653,8 @@ def _products(p: int, d: int, g: np.ndarray, base: np.ndarray, r: int) -> np.nda
         g_codes = (powers[: e + 1] @ g).astype(code_dtype)
         codes = _batch_array((), piece, columns, code_dtype)
         codes[0] = powers[r:d] @ base[:-1]
-        for b in range(r):
-            np.bitwise_xor(codes[: 1 << b], g_codes << b, out=codes[1 << b : 2 << b])
+        for b, shifted in enumerate(g_codes << np.arange(r, dtype=code_dtype)[:, None]):
+            np.bitwise_xor(codes[: 1 << b], shifted, out=codes[1 << b : 2 << b])
         return codes
     row_dtype = _coeff_dtype(p, e + 2)
     low = _batch_array((e + r,), piece, columns, row_dtype)
@@ -688,21 +691,22 @@ def _multiples(
     widest = 0  # digits of the longest piece
     while widest < hdeg and p ** (widest + 1) <= _BATCH:
         widest += 1
-    for lo, hi, _ in slices:
-        cols, starts, length = _cofactor_starts(p, d, g, hdeg, lo, hi)
-        r = widest
-        while p**r > length:
-            r -= 1
-        piece = p**r
-        if length > piece:
-            offsets = np.arange(0, length, piece)
-            cols = np.repeat(cols, offsets.size)
-            starts = (starts[:, None] + offsets).ravel()
-        per = max(1, _BATCH // piece)
-        for i in range(0, cols.size, per):
-            c, s = cols[i : i + per], starts[i : i + per]
-            base = _convolve(g[:, c], _monic_rows(p, hdeg - r, s // piece), p)
-            yield _products(p, d, g[:, c], base, r), c, s
+    # every slice's ranges are cut into pieces of the shortest one's length,
+    # so that all slices share their batches
+    found = [_cofactor_starts(p, d, g, hdeg, lo, hi) for lo, hi, _ in slices]
+    r = widest
+    while p**r > min(length for _, _, length in found):
+        r -= 1
+    piece = p**r
+    cols = np.concatenate([np.repeat(cols, length // piece) for cols, _, length in found])
+    starts = np.concatenate(
+        [(starts[:, None] + np.arange(0, length, piece)).ravel() for _, starts, length in found]
+    )
+    per = max(1, _BATCH // piece)
+    for i in range(0, cols.size, per):
+        c, s = cols[i : i + per], starts[i : i + per]
+        base = _convolve(g[:, c], _monic_rows(p, hdeg - r, s // piece), p)
+        yield _products(p, d, g[:, c], base, r), c, s
 
 
 def _cofactor_values(table: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
@@ -1027,21 +1031,37 @@ def _census_vector(
     slices = _orbit_slices(p, n)
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
-    bounds = [
-        (lo, min(lo + block, hi)) for start, hi, _ in slices for lo in range(start, hi, block)
-    ]
-    threads = min(threads, len(bounds))
+    # blocks of up to ``block`` codes, each one or more runs of the sections
+    # in order, so that a small cell is one block however many sections it
+    # has; a run (lo, hi, at) is the codes [lo, hi) at row ``at`` of its block
+    blocks: list[list[tuple[int, int, int]]] = []
+    room = 0
+    for lo, hi, _ in slices:
+        while lo < hi:
+            if not room:
+                blocks.append([])
+                room = block
+            run = min(hi - lo, room)
+            blocks[-1].append((lo, lo + run, block - room))
+            lo += run
+            room -= run
+    threads = min(threads, len(blocks))
     # indexed by code; the gaps between the slices are never read
     repeated = np.empty(slices[-1][1], bool)
 
-    def gcd_block(lo: int, hi: int) -> None:
-        # each block writes its own slice of repeated, so no two threads
+    def gcd_block(runs: list[tuple[int, int, int]]) -> None:
+        # each block writes its own runs of repeated, so no two threads
         # write the same entry
-        codes = np.arange(lo, hi, dtype=np.int64)
-        np.greater(_packed_gcd_degree(p, n, codes), 0, out=repeated[lo:hi])
+        lo, hi, at = runs[-1]
+        codes = np.arange(at + hi - lo, dtype=np.int64)
+        for lo, hi, at in runs:
+            codes[at : at + hi - lo] += lo - at
+        gdeg = _packed_gcd_degree(p, n, codes)
+        for lo, hi, at in runs:
+            np.greater(gdeg[at : at + hi - lo], 0, out=repeated[lo:hi])
 
     # the sieve is the first task, so that on a pool it runs beside the gcd blocks
-    tasks = [(_sieve, p, n, slices, True)] + [(gcd_block, lo, hi) for lo, hi in bounds]
+    tasks = [(_sieve, p, n, slices, True)] + [(gcd_block, runs) for runs in blocks]
     if threads == 1:
         results = [_timed(*task) for task in tasks]
     else:

@@ -513,11 +513,31 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
     assert corrupted_in[0] is not threading.main_thread()
 
 
+def test_gcd_blocks_run_across_sections(monkeypatch):
+    # a small cell is one gcd block, and so runs on no pool, however many
+    # sections it has; smaller blocks cut the sections' codes in order
+    kernel = fforacle._packed_gcd_degree
+    calls = []
+
+    def record(p, n, codes):
+        calls.append(codes.tolist())
+        return kernel(p, n, codes)
+
+    monkeypatch.setattr(fforacle, "_packed_gcd_degree", record)
+    sections = [code for lo, hi, _ in fforacle._orbit_slices(3, 6) for code in range(lo, hi)]
+    factor_type_census(3, 6, workers=2)
+    assert calls == [sections]
+    calls.clear()
+    monkeypatch.setattr(fforacle, "_BLOCK", 256)
+    factor_type_census(3, 6, workers=2)
+    assert sorted(calls) == [sections[:128], sections[128:]]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_gcd_disagreement_in_the_second_scaling_slice_raises(workers, monkeypatch):
-    # (3, 6) enumerates four sections, the last one [243, 324) of a_5 = 1,
-    # a_4 = 0; its last code is x^6 + x^5 + 2x^3 + 2x^2 + 2x + 2, at the end
-    # of the last block
+    # (3, 6) enumerates four sections, 216 codes, the last one [243, 324) of
+    # a_5 = 1, a_4 = 0; its last code is x^6 + x^5 + 2x^3 + 2x^2 + 2x + 2, at
+    # the end of the last block
     kernel = fforacle._packed_gcd_degree
     corrupted = []
 
@@ -528,7 +548,9 @@ def test_gcd_disagreement_in_the_second_scaling_slice_raises(workers, monkeypatc
             gdeg[row] = int(gdeg[row] == 0)  # flip its square-free verdict
         return gdeg
 
-    monkeypatch.setattr(fforacle, "_BLOCK", 256)  # one block per section
+    # one block on one thread; on two, blocks of 128 and 88 codes, each
+    # spanning sections
+    monkeypatch.setattr(fforacle, "_BLOCK", 256)
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_one_code)
     with pytest.raises(RuntimeError, match="disagrees with factorization"):
         factor_type_census(3, 6, workers=workers)
