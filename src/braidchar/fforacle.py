@@ -51,26 +51,26 @@ irreducible count of every degree against the necklace polynomial value
 M_d(p), weighted by the sections at degree n, and raises if either check
 fails.
 
-Its batched gcd packs each polynomial into one uint64 word of n + 1
-coefficient lanes, after Boothby-Bradshaw 2009 ("Bitslicing and the Method
-of Four Russians over larger finite fields").  Over F_2 a lane is one bit
-and a Euclid step is a shift and an XOR.  Over odd p a step is
-a + k * (b << shift), and the lanes are reduced mod p by conditional
-subtractions tested on a spare top bit of each lane.  Wide lanes hold the
-product of one multiply, carrying out of no lane; where n + 1 of them do
-not fit a word, narrow lanes (about log2 p bits rather than 2 log2 p) take
-k one bit at a time, with one conditional subtraction of p after each
-addition and each doubling.
-Degrees are exact, read from the bit length; swaps are XORs under a row
-mask; and a row leaves the working arrays as soon as its gcd degree is
-known.  A cell whose narrow lanes do not fit a word either, such as (3, 16)
-or (2, 64), is refused with ValueError before any table is built; the
-default budget admits no such cell.  The tests hold the kernel to scalar
-Euclid.
+Its batched gcd runs Euclid on a block of codes at once, on words (see
+_Kernel).  Over F_2 the words are the even and odd halves A and B of f, in
+32 bits: f' = B^2 and gcd(f, f') = gcd(A, B)^2, and a step is a shift and
+an XOR.  Over F_3 a polynomial is two 16-bit bit-planes, after
+Boothby-Bradshaw 2009 ("Bitslicing and the Method of Four Russians over
+larger finite fields"), and a step adds or subtracts the shifted b with
+bitwise operations alone.  Over larger p, f and f' are 64-bit words of
+n + 1 coefficient lanes, a step is a + k * (b << shift), and the lanes are
+reduced mod p by conditional subtractions tested on a spare top bit of
+each lane; where n + 1 wide lanes do not fit a word, narrow ones take k
+one bit at a time.  Degrees are exact, read from float exponents; swaps are
+XORs under a row mask; b's leading offset is carried across passes; and a
+row leaves as soon as its gcd degree is known.  A cell too wide for the
+words, such as (3, 16) or (2, 64), is refused with ValueError before any
+table is built; the default budget admits no such cell.  The tests hold
+the kernels to scalar Euclid.
 
 The vectorized census runs on ``workers`` threads (by default the CPU
 count), never more than it has gcd blocks; numpy releases the interpreter
-lock in the loops that do the work.  The packed kernel's tables are built
+lock in the loops that do the work.  The gcd kernel's tables are built
 first, on the calling thread.  The factor sieve is then the first task of
 the pool, so that it runs beside the gcd blocks, none of which reads it.
 A block is a run of up to _BLOCK // w codes of the sections in order, w
@@ -105,7 +105,7 @@ PolyCoeffs = tuple[int, ...]
 DEFAULT_BUDGET = 10**7
 _BLOCK = 1 << 17  # gcd rows in flight, over all threads
 _BATCH = 1 << 16  # products formed at once by the factor sieve
-_PIECE = 1 << 12  # largest digit-run table of the packed kernel
+_PIECE = 1 << 12  # largest digit-run table of the gcd kernels
 
 
 class BudgetError(ValueError):
@@ -775,31 +775,29 @@ def _irreducible_codes(p: int, d: int) -> np.ndarray:
     return np.flatnonzero(_factor_table(p, d) == 0)
 
 
-# Packed kernel.  Each polynomial is one uint64 whose lane i, _lane_width
-# bits wide, holds the coefficient of x^i.
+# Gcd kernels: Euclid on a block of codes at once (see _Kernel).
 
 
 def _lane_width(p: int, narrow: bool) -> int:
-    """Bits per lane of the packed gcd kernel.
+    """Bits per lane of the lanes kernel.
 
-    Over F_2 a lane is one bit.  Over odd p a lane has a spare top bit, on
-    which the reduction mod p tests, above room for the largest value a step
-    leaves in it: a wide lane holds a + k * b <= p (p - 1) for coefficients
-    a, b and a multiplier k below p, a narrow lane, which takes k one bit at
-    a time, only a + b <= 2p - 2.
+    A lane has a spare top bit, on which the reduction mod p tests, above
+    room for the largest value a step leaves in it: a wide lane holds
+    a + k * b <= p (p - 1) for coefficients a, b and a multiplier k below p,
+    a narrow lane, which takes k one bit at a time, only a + b <= 2p - 2.
     """
-    if p == 2:
-        return 1
     return (2 * p - 2 if narrow else p * (p - 1)).bit_length() + 1
 
 
 def _narrow_lanes(p: int, n: int) -> bool:
     """Whether degree n over F_p runs narrow lanes: n + 1 wide ones overflow a word.
 
-    Raises ValueError where n + 1 narrow lanes overflow the word too.
+    Raises ValueError where n + 1 narrow lanes overflow the word too.  F_2
+    and F_3 run no lanes, but their words have the limits of lanes of 1 and
+    of 4 bits: (n + 1) / 2 bits fill a 32-bit half, n + 1 a 16-bit plane.
     """
     for narrow in (False, True):
-        width = _lane_width(p, narrow)
+        width = 1 if p == 2 else _lane_width(p, narrow)
         if (n + 1) * width <= 64:
             return narrow
     raise ValueError(
@@ -808,22 +806,183 @@ def _narrow_lanes(p: int, n: int) -> bool:
     )
 
 
-class _PackedTables:
-    """Constants of the packed kernel for monic degree-n polynomials over F_p.
+class _Kernel:
+    """Tables and Euclid step of a gcd kernel for monic degree-n codes over F_p.
 
-    * narrow and width: the lanes, as _narrow_lanes and _lane_width choose
-      them.
-    * pieces: codes are cut into runs of base-p digits, each run a digit
-      in base ``base`` (at most _PIECE), and for each run f[r] and df[r]
-      are the lanes that its value r contributes to f and to f'.  For
+    A row's state is the words of a, those of b, then tb, the leading offset
+    of b; it starts at a = f', b = f.  step reads the offset ta of a, swaps
+    where ta < tb (see _order), so that b's offset is carried, not read, and
+    cancels a's leading term with b shifted up by ta - tb.
+
+    * base and pieces: codes are cut into runs of base-p digits, each run a
+      digit in base ``base`` (at most _PIECE), and pieces[j][r] holds the
+      words that value r of run j contributes; top holds those of x^n.  For
       p > _PIECE a run table would have p entries, so pieces is empty and
-      _packed_words computes the lanes of each digit.  top holds the lanes
-      of x^n.
+      start places each digit.
+    * parked: a state, with a nonconstant, that step leaves as it is.
+    """
+
+    def __init__(self, p: int, n: int, dtype, tb: int):
+        self.p, self.n, self.tb = p, n, dtype(tb)
+        digits = 1
+        while digits < n and p ** (digits + 1) <= _PIECE:
+            digits += 1
+        self.base = p**digits
+        self.top = np.zeros(self.parts, dtype)
+        self._place(self.top, n, dtype(1))
+        self.pieces = []
+        if self.base <= _PIECE:
+            digit_rows = np.empty((digits, self.base), dtype)
+            _write_digits(p, np.arange(self.base), digit_rows)
+            for lo in range(0, n, digits):
+                table = np.zeros((self.base, self.parts), dtype)
+                for i, digit in enumerate(digit_rows[: n - lo], lo):
+                    self._place(table, i, digit)
+                self.pieces.append(table)
+
+    def _place(self, words: np.ndarray, i: int, digit) -> None:
+        for part, value in self.place(i, digit):
+            words[..., part] |= value
+
+    def start(self, codes: np.ndarray) -> list[np.ndarray]:
+        """The state of each code's row, one array per word and one for tb."""
+        words = np.empty((codes.size, self.parts), self.top.dtype)
+        words[...] = self.top
+        rest = codes
+        for table in self.pieces[:-1]:
+            high = rest // self.base
+            run = high * self.base
+            np.subtract(rest, run, out=run)
+            words |= np.take(table, run, axis=0)
+            rest = high
+        if self.pieces:  # the last run is what is left
+            words |= np.take(self.pieces[-1], rest, axis=0)
+        else:
+            for i in range(self.n):
+                rest, digit = np.divmod(rest, self.p)
+                self._place(words, i, digit.astype(self.top.dtype))
+        return [*np.ascontiguousarray(words.T), np.full(codes.size, self.tb)]
+
+    def low(self, state: list[np.ndarray], buffer: np.ndarray) -> np.ndarray:
+        """A word that is at most ``constant`` exactly where a is a constant."""
+        return state[0]
+
+    def degree(self, tb: np.ndarray) -> np.ndarray:
+        return tb
+
+
+class _Halves(_Kernel):
+    """The F_2 kernel, on the even and odd halves A and B of f's coefficients.
+
+    f = A(x)^2 + x B(x)^2, so f' = B^2 and gcd(f, f') = gcd(A, B)^2: with
+    D = gcd(A, B), f = D^2 (A1^2 + x B1^2) and f' = D^2 B1^2, and an
+    irreducible dividing B1 and A1^2 + x B1^2 would divide A1.  So Euclid
+    runs on A and B, uint32 words, with b the half that holds x^n, and the
+    degree is twice theirs.  A step is a ^= b << (ta - tb).  An offset is
+    the float32 exponent of (x & ~(x >> 1)) >> 1, 126 + deg x: with only
+    the top bit of each run of ones kept, the conversion never rounds up.
+    """
+
+    parts, constant = 2, np.uint32(1)
+    buffers = (np.uint32,) * 3
+    parked = (np.uint32(2), np.uint32(0), np.uint32(0))
+
+    def __init__(self, n: int):
+        super().__init__(2, n, np.uint32, 126 + n // 2)
+
+    def place(self, i, digit):
+        yield 1 - (self.n - i) % 2, digit << np.uint32(i // 2)
+
+    def degree(self, tb):
+        return 2 * (tb - np.uint32(126))
+
+    def step(self, state, work):
+        a, b, tb = state
+        s, ta, d = work
+        one = np.uint32(1)
+        np.right_shift(a, one, out=s)
+        np.invert(s, out=s)
+        s &= a
+        s >>= one
+        np.copyto(ta.view(np.float32), s.view(np.int32), casting="unsafe")
+        ta >>= np.uint32(23)
+        _order([a], [b], ta, tb, d, s)
+        np.left_shift(b, d, out=s)
+        a ^= s
+
+
+class _Planes(_Kernel):
+    """The F_3 kernel, on two uint16 bit-planes per polynomial, the
+    coefficients equal to 1 and those equal to 2 (Boothby-Bradshaw 2009).
+
+    A step adds y = b << (ta - tb) to a, or subtracts it where the leading
+    coefficients are equal; -y is y with its planes swapped.  The sum is
+    Kawahara, Aoki and Takagi's (2008): with t = (a1 | y2) ^ (a2 | y1), the
+    1s are (a2 | y2) ^ t and the 2s (a1 | y1) ^ t, so nothing is reduced.
+    An offset is the float32 exponent of the planes' union, exact in 16 bits.
+    """
+
+    parts, constant = 4, np.uint16(1)
+    buffers = (np.uint16,) * 6 + (np.float32,)
+    parked = (np.uint16(2),) + (np.uint16(0),) * 4
+
+    def __init__(self, n: int):
+        super().__init__(3, n, np.uint16, n)
+
+    def place(self, i, digit):
+        for c in (1, 2):
+            hit = (digit == c).astype(np.uint16)
+            yield 1 + c, hit << np.uint16(i)
+            if i % 3:
+                yield c * i % 3 - 1, hit << np.uint16(i - 1)
+
+    def low(self, state, buffer):
+        return np.bitwise_or(state[0], state[1], out=buffer)
+
+    def step(self, state, work):
+        a1, a2, b1, b2, tb = state
+        u, ta, d, m, y1, y2, f = work
+        np.bitwise_or(a1, a2, out=u)
+        np.copyto(f, u, casting="unsafe")
+        exponent = f.view(np.uint32)
+        exponent >>= np.uint32(23)
+        np.copyto(ta, exponent, casting="unsafe")
+        ta -= np.uint16(127)
+        _order([a1, a2], [b1, b2], ta, tb, d, m)
+        np.left_shift(b1, d, out=y1)
+        np.left_shift(b2, d, out=y2)
+        # m is all ones where bit ta of a1 ^ y1 is clear: the leading
+        # coefficients are equal there, so y is negated
+        np.bitwise_xor(a1, y1, out=m)
+        m >>= ta
+        m -= np.uint16(1)
+        np.bitwise_xor(y1, y2, out=u)
+        u &= m
+        y1 ^= u
+        y2 ^= u
+        np.bitwise_or(a1, y2, out=m)
+        np.bitwise_or(a2, y1, out=u)
+        m ^= u
+        a1 |= y1
+        a1 ^= m
+        a2 |= y2
+        a2 ^= m
+        state[0], state[1] = a2, a1  # a1 now holds the 2s
+
+
+class _PackedTables(_Kernel):
+    """The lanes kernel, for p > 3: f' and f are uint64 words of n + 1
+    coefficient lanes, _lane_width bits each (Boothby-Bradshaw 2009).
+
+    A step is a += k * (b << (ta - tb)) with k = -lead(a) / lead(b) mod p.
+    Wide lanes take the product in one multiply, which carries out of no
+    lane, and are then reduced by _reduce_lanes; narrow lanes take it one
+    bit of k at a time: add the shifted b where the bit is set, reduce,
+    double the shifted b, reduce.
+
     * lead: bit offset of the leading lane of a word x, indexed by the
-      float64 exponent of (x & ~(x >> 1)) >> 1.  Keeping only the top bit
-      of each run of ones means the conversion never rounds up to the next
-      power of two, so the offset is exact on all 64 bits; 0 and 1 both
-      map to offset 0.
+      float64 exponent of (x & ~(x >> 1)) >> 1, exact on all 64 bits as
+      over F_2; 0 and 1 both map to offset 0.
     * neg_inv: -1/c mod p at c = 1..p-1, read from a generator, so that
       no list of p Python ints is formed.  None at n = 1, where f' = 1 and
       every row leaves the kernel before a Euclid step reads it.
@@ -832,31 +991,16 @@ class _PackedTables:
       hold 2p, so they subtract p alone.
     """
 
-    __slots__ = (
-        "narrow", "width", "base", "pieces", "top", "lead", "neg_inv", "spare", "subtract"
-    )
+    parts = 2
+    buffers = (np.uint64,) * 3
 
     def __init__(self, p: int, n: int, narrow: bool):
         self.narrow = narrow
         w = self.width = _lane_width(p, narrow)
-        digits = 1
-        while digits < n and p ** (digits + 1) <= _PIECE:
-            digits += 1
-        self.base = p**digits
-        self.pieces = []
-        if self.base <= _PIECE:
-            digit_rows = np.empty((digits, self.base), np.uint64)
-            _write_digits(p, np.arange(self.base, dtype=np.int64), digit_rows)
-            for lo in range(0, n, digits):
-                f = np.zeros(self.base, np.uint64)
-                df = np.zeros(self.base, np.uint64)
-                for i, digit in enumerate(digit_rows[: n - lo], lo):
-                    f |= digit << np.uint64(w * i)
-                    if i % p:
-                        derived = digit * np.uint64(i % p) % np.uint64(p)
-                        df |= derived << np.uint64(w * (i - 1))
-                self.pieces.append((f, df))
-        self.top = (np.uint64(1 << (w * n)), np.uint64((n % p) << (w * (n - 1))))
+        super().__init__(p, n, np.uint64, w * n)
+        self.constant = np.uint64(p - 1)
+        self.parked = (np.uint64(1 << w), np.uint64(0), np.uint64(0))
+        self.lane = np.uint64((1 << w) - 1)
         bit_length = np.arange(2048) - 1021  # of x, at an exponent e >= 1023
         self.lead = (np.maximum(bit_length - 1, 0) // w * w).astype(np.uint64)
         self.neg_inv = None
@@ -864,17 +1008,89 @@ class _PackedTables:
             inverses = (p - pow(c, -1, p) for c in range(1, p))
             self.neg_inv = np.fromiter(itertools.chain((0,), inverses), np.uint64, count=p)
         every_lane = sum(1 << (w * i) for i in range(n + 1))
-        self.spare = np.uint64(every_lane << (w - 1) if p > 2 else 0)
-        top_j = -1 if p == 2 else 0 if narrow else (p - 1).bit_length() - 1
+        self.spare = np.uint64(every_lane << (w - 1))
+        top_j = 0 if narrow else (p - 1).bit_length() - 1
         self.subtract = [
             (np.uint64(every_lane * (p << j)), np.uint64(p << j))
             for j in range(top_j, -1, -1)
         ]
 
+    def place(self, i, digit):
+        p, w = self.p, self.width
+        yield 1, digit << np.uint64(w * i)
+        if i % p:
+            yield 0, digit * np.uint64(i % p) % np.uint64(p) << np.uint64(w * (i - 1))
+
+    def degree(self, tb):
+        return tb // np.uint64(self.width)
+
+    def step(self, state, work):
+        a, b, tb = state
+        k, ta, d = work
+        p = np.uint64(self.p)
+        _lead_offset(a, self.lead, ta)
+        _order([a], [b], ta, tb, d, k)
+        np.right_shift(a, ta, out=k)
+        k &= self.lane
+        lead_b = np.right_shift(b, tb, out=ta)
+        lead_b &= self.lane
+        np.take(self.neg_inv, lead_b.view(np.int64), out=lead_b, mode="clip")
+        k *= lead_b
+        np.floor_divide(k, p, out=ta)
+        ta *= p
+        k -= ta
+        shifted = np.left_shift(b, d, out=ta)
+        if not self.narrow:
+            shifted *= k
+            a += shifted
+            _reduce_lanes(a, self, d)
+            return
+        k_bits = (self.p - 1).bit_length()
+        for bit in range(k_bits):
+            np.right_shift(k, np.uint64(bit), out=d)
+            d &= np.uint64(1)
+            d *= shifted
+            a += d
+            _reduce_lanes(a, self, d)
+            if bit + 1 < k_bits:
+                shifted += shifted
+                _reduce_lanes(shifted, self, d)
+
 
 @lru_cache(maxsize=None)
 def _packed_tables(p: int, n: int) -> _PackedTables:
     return _PackedTables(p, n, _narrow_lanes(p, n))
+
+
+@lru_cache(maxsize=None)
+def _small_field_kernel(p: int, n: int) -> _Kernel:
+    _narrow_lanes(p, n)  # refuses the cells too wide for the words
+    return _Halves(n) if p == 2 else _Planes(n)
+
+
+def _kernel(p: int, n: int) -> _Kernel:
+    return _small_field_kernel(p, n) if p <= 3 else _packed_tables(p, n)
+
+
+def _order(a: list, b: list, ta: np.ndarray, tb: np.ndarray, d: np.ndarray, mask: np.ndarray) -> None:
+    """Swap the words of a and b, and ta with tb, where ta < tb.
+
+    Then tb = min(ta, tb), ta = max(ta, tb) and d = ta - tb.  All arrays
+    share one unsigned dtype; the sign of ta - tb, read in the signed view
+    and shifted across the word, is the swap mask.
+    """
+    signed = np.dtype(f"i{ta.itemsize}")
+    diff = d.view(signed)
+    np.subtract(ta.view(signed), tb.view(signed), out=diff)
+    np.right_shift(diff, signed.type(8 * ta.itemsize - 1), out=mask.view(signed))
+    np.abs(diff, out=diff)
+    np.minimum(ta, tb, out=tb)
+    for x, y in zip(a, b):
+        np.bitwise_xor(x, y, out=ta)
+        ta &= mask
+        x ^= ta
+        y ^= ta
+    np.add(tb, d, out=ta)
 
 
 def _lead_offset(x: np.ndarray, lead: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -906,114 +1122,40 @@ def _reduce_lanes(x: np.ndarray, t: _PackedTables, scratch: np.ndarray) -> None:
         x -= scratch
 
 
-def _packed_words(
-    p: int, n: int, t: _PackedTables, codes: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The words of f and of f' for each monic code, one digit run at a time."""
-    f = np.full(codes.size, t.top[0])
-    df = np.full(codes.size, t.top[1])
-    rest = codes
-    for f_piece, df_piece in t.pieces:
-        rest, run = np.divmod(rest, t.base)
-        f |= f_piece[run]
-        df |= df_piece[run]
-    if not t.pieces:
-        rest = rest.astype(np.uint64)
-        for i in range(n):
-            rest, digit = np.divmod(rest, np.uint64(p))
-            f |= digit << np.uint64(t.width * i)
-            if i % p:
-                digit *= np.uint64(i % p)
-                digit %= np.uint64(p)
-                df |= digit << np.uint64(t.width * (i - 1))
-    return f, df
-
-
 def _packed_gcd_degree(p: int, n: int, codes: np.ndarray) -> np.ndarray:
-    """Degree of gcd(f, f') per monic degree-n code over F_p, one word per row.
+    """Degree of gcd(f, f') per monic degree-n code over F_p, by _kernel(p, n).
 
-    Euclid on words a = f, b = f': degrees are exact, read as the bit
-    offsets ta, tb of the leading lanes.  Each step swaps a and b on the
-    rows with ta < tb, by an XOR under a row mask, and then cancels a's
-    leading lane with b shifted up by ta - tb bits:
-
-    * over F_2 the step is a ^= b << (ta - tb);
-    * over odd p it is a += k * (b << (ta - tb)) with
-      k = -lead(a) / lead(b) mod p.  Wide lanes take the product in one
-      multiply, which carries out of no lane, and are then reduced mod p by
-      _reduce_lanes.  Narrow lanes take it one bit of k at a time: add the
-      shifted b where the bit is set, reduce, double the shifted b, reduce.
-
-    Every step lowers deg a + deg b by at least one.  It starts at most
-    2n - 1 and a row has deg a >= 1 until it leaves, so 2n passes empty the
-    loop.  A row leaves as soon as its degree is known, written out through
-    its row index: at the start if f' is a constant (the gcd is f if f' = 0,
-    else 1), and once a is a constant: the gcd is b if a = 0, else 1.  The
-    per-pass values live in three buffers allocated once, so memory only
-    shrinks as rows leave.
+    Every step lowers deg a + deg b by at least one.  It starts at 2n - 1
+    and a row has deg a, deg b >= 1 until it leaves, so 2n passes empty the
+    loop.  A row leaves once a is a constant: the gcd is b if a = 0, else 1.
+    Its degree is written out through its row index and the row is parked;
+    once half the rows are parked, the others are compacted.  The buffers
+    are allocated once, so memory only shrinks as rows leave.
     """
-    t = _packed_tables(p, n)
-    a, b = _packed_words(p, n, t, codes)
-    gdeg = np.where(b == 0, n, 0)
-    rows = np.flatnonzero(b >= p)
-    a = a[rows]
-    b = b[rows]
-    work = np.empty((3, rows.size), np.uint64)
-    lane = np.uint64((1 << t.width) - 1)
-    k_bits = (p - 1).bit_length()
+    k = _kernel(p, n)
+    state = k.start(codes)
+    gdeg = np.empty(codes.size, np.int64)
+    rows = np.arange(codes.size)
+    live = codes.size
+    work = [np.empty(codes.size, dtype) for dtype in k.buffers]
     for _ in range(2 * n):
-        scratch, ta, tb = work[:, : rows.size]
-        done = a < p
+        low = k.low(state, work[0][: rows.size])
+        done = low <= k.constant
         if done.any():
             out = np.flatnonzero(done)
-            offset = _lead_offset(b[out], t.lead, tb[: out.size])
-            gdeg[rows[out]] = np.where(a[out] == 0, offset // t.width, 0)
-            keep = np.flatnonzero(~done)
-            rows = rows[keep]
-            a = a[keep]
-            b = b[keep]
-            scratch, ta, tb = work[:, : rows.size]
-        if not rows.size:
-            return gdeg
-        _lead_offset(a, t.lead, ta)
-        _lead_offset(b, t.lead, tb)
-        swap = ta < tb
-        for x, y in ((a, b), (ta, tb)):
-            np.bitwise_xor(x, y, out=scratch)
-            scratch *= swap
-            x ^= scratch
-            y ^= scratch
-        if p == 2:
-            ta -= tb
-            np.left_shift(b, ta, out=scratch)
-            a ^= scratch
-            continue
-        k = np.right_shift(a, ta, out=scratch)
-        k &= lane
-        ta -= tb  # now the shift that aligns b's leading lane with a's
-        lead_b = np.right_shift(b, tb, out=tb)
-        lead_b &= lane
-        np.take(t.neg_inv, lead_b.view(np.int64), out=lead_b, mode="clip")
-        k *= lead_b
-        np.floor_divide(k, p, out=tb)
-        tb *= p
-        k -= tb
-        shifted = np.left_shift(b, ta, out=tb)
-        if not t.narrow:
-            shifted *= k
-            a += shifted
-            _reduce_lanes(a, t, scratch)
-            continue
-        term = ta
-        for bit in range(k_bits):
-            np.right_shift(k, np.uint64(bit), out=term)
-            term &= np.uint64(1)
-            term *= shifted
-            a += term
-            _reduce_lanes(a, t, term)
-            if bit + 1 < k_bits:
-                shifted += shifted
-                _reduce_lanes(shifted, t, term)
+            gdeg[rows[out]] = np.where(low[out] == 0, k.degree(state[-1][out]), 0)
+            live -= out.size
+            if not live:
+                return gdeg
+            rows[out] = -1
+            if 2 * live > rows.size:
+                for x, value in zip(state, k.parked):
+                    x[out] = value
+            else:
+                keep = np.flatnonzero(rows >= 0)
+                rows = rows[keep]
+                state = [x[keep] for x in state]
+        k.step(state, [w[: rows.size] for w in work])
     raise RuntimeError("batched gcd failed to converge")
 
 
@@ -1027,7 +1169,7 @@ def _census_vector(
 ) -> tuple[dict[Partition, int], dict[str, float]]:
     # the gcd tables are built first, on this thread, so that a cell too wide
     # for a word is refused before any factor table is built
-    _, setup = _timed(_packed_tables, p, n)
+    _, setup = _timed(_kernel, p, n)
     slices = _orbit_slices(p, n)
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)

@@ -306,7 +306,8 @@ def test_packed_f2_gcd_matches_both_kernels():
 @pytest.mark.parametrize("p, top", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
 def test_packed_gcd_matches_both_kernels(p, top, monkeypatch):
     # every code on the wide lanes these cells run, and on narrow lanes,
-    # forced; p = 2 is test_packed_f2_gcd_matches_both_kernels
+    # forced; p = 2 is test_packed_f2_gcd_matches_both_kernels.  p = 3 runs
+    # the plane kernel, which the patch does not reach, so it is checked twice
     for n in range(1, top + 1):
         assert not _narrow_lanes(p, n)
         codes = np.arange(p**n, dtype=np.int64)
@@ -338,6 +339,42 @@ def sampled_codes(p, n, count, seed):
 def assert_matches_scalar_euclid(p, n, codes):
     expected = [scalar_gcd_degree(p, n, c) for c in codes.tolist()]
     assert _packed_gcd_degree(p, n, codes).tolist() == expected
+
+
+def test_plane_kernel_matches_scalar_euclid():
+    for n in range(1, 8):
+        codes = np.arange(3**n, dtype=np.int64)
+        assert _packed_gcd_degree(3, n, codes).tolist() == scalar_gcd_degrees(3, n), n
+    for n in range(12, 16):
+        assert_matches_scalar_euclid(3, n, sampled_codes(3, n, 300, seed=n))
+
+
+def test_f2_gcd_is_twice_the_gcd_of_the_halves():
+    # f = A(x)^2 + x B(x)^2 over F_2, A and B the even and odd coefficients
+    for n in range(1, 11):
+        for code in range(2**n):
+            f = poly_from_code(code, n, 2)
+            halves = [poly_trim(f[i::2], 2) for i in (0, 1)]
+            gcd = poly_gcd(f, poly_derivative(f, 2), 2)
+            assert poly_degree(gcd) == 2 * poly_degree(poly_gcd(*halves, 2)), f
+
+
+@pytest.mark.parametrize(
+    "p, n, dtype", [(2, 19, np.uint32), (2, 63, np.uint32), (3, 12, np.uint16), (3, 15, np.uint16)]
+)
+def test_small_field_words_keep_their_width(p, n, dtype, monkeypatch):
+    # a word widened by a promotion would give the same degrees, slower
+    kernel = type(fforacle._kernel(p, n))
+    step, seen = kernel.step, set()
+
+    def record(self, state, work):
+        seen.update(x.dtype for x in state + work if x.dtype.kind != "f")
+        step(self, state, work)
+        seen.update(x.dtype for x in state)
+
+    monkeypatch.setattr(kernel, "step", record)
+    assert_matches_scalar_euclid(p, n, sampled_codes(p, n, 200, seed=n))
+    assert seen == {np.dtype(dtype)}
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
