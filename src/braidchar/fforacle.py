@@ -23,26 +23,12 @@ Two census engines produce identical tallies:
   that keep the section (see _orbit_slices for the sections of each case
   and why): every orbit meets exactly one section, in one H-orbit, so the
   weighted counts are exact and the weights times the section sizes sum
-  to p^n.  Reading s = a_{n-2}: {a_{n-1} = 0} with weight p when p = 2
-  and n is odd; {a_{n-1} = s = 0} and {a_{n-1} = 1} with weights 2 and 1
-  when n = 2 mod 4, and {a_{n-1} = 0} and {a_{n-1} = 1, s = 0} with
-  weights 1 and 2 when 4 | n; {a_{n-1} = 0} split by the square class of
-  s when an odd p does not divide n; and when it does, {a_{n-1} = 1,
-  s = 0} with weight p (p - 1), {a_{n-1} = 0, s = s*} with weight 1, and
-  {a_{n-1} = 0, s, a_{n-3} = 0} for one s per class, where s* is the s at
-  which translation fixes a_{n-3}.  Sections may leave gaps; the arrays
-  are indexed by code up to the last one's end.  On the sections it runs
-  the gcd batched over blocks, and replaces trial division by a factor
-  sieve: for each degree e <= n/2 and all irreducibles g of degree e
-  together it writes the factorization type of every product g * h in the
-  sections, that of h (read from the whole degree n - e table, built by
-  the same sieve) with a part e added, and flags every multiple g^2 * k in
-  the sections as having a repeated factor.  Fixing a product's top
-  digits fixes h's, so each g runs over one range of h per section; the
-  starts of those ranges are solved for every g at once, and the products
-  are formed in batches of about _BATCH, so the sieve's cost follows the
-  codes it writes.  The writes may come in any order, since each one
-  writes the same value.
+  to p^n.  On the sections it runs the gcd batched over blocks, and
+  replaces trial division by a factor sieve (see _sieve) that counts each
+  code's distinct irreducible factors of each degree <= n/2 and flags its
+  repeated ones; whole tables are sieved only for degrees <= n/2.  Fixing
+  a product's top digits fixes its cofactor's, so the sieve's cost follows
+  the codes it writes.
 
 The vectorized engine always cross-checks every enumerated code's gcd
 square-freeness verdict against the sieve's repeated-factor flag (a
@@ -52,35 +38,27 @@ M_d(p), weighted by the sections at degree n, and raises if either check
 fails.
 
 Its batched gcd runs Euclid on a block of codes at once, on words (see
-_Kernel).  Over F_2 the words are the even and odd halves A and B of f, in
-32 bits: f' = B^2 and gcd(f, f') = gcd(A, B)^2, and a step is a shift and
-an XOR.  Over F_3 a polynomial is two 16-bit bit-planes, after
-Boothby-Bradshaw 2009 ("Bitslicing and the Method of Four Russians over
-larger finite fields"), and a step adds or subtracts the shifted b with
-bitwise operations alone.  Over larger p, f and f' are 64-bit words of
-n + 1 coefficient lanes, a step is a + k * (b << shift), and the lanes are
-reduced mod p by conditional subtractions tested on a spare top bit of
-each lane; where n + 1 wide lanes do not fit a word, narrow ones take k
-one bit at a time.  Degrees are exact, read from float exponents; swaps are
-XORs under a row mask; b's leading offset is carried across passes; and a
-row leaves as soon as its gcd degree is known.  A cell too wide for the
-words, such as (3, 16) or (2, 64), is refused with ValueError before any
-table is built; the default budget admits no such cell.  The tests hold
-the kernels to scalar Euclid.
+_Kernel): over F_2 the even and odd halves of f (_Halves), over F_3 two
+bit-planes (_Planes, after Boothby-Bradshaw 2009, "Bitslicing and the
+Method of Four Russians over larger finite fields"), and over larger p
+n + 1 coefficient lanes of a 64-bit word (_PackedTables), narrow ones
+where wide ones do not fit.  A cell too wide for the words, such as
+(3, 16) or (2, 64), or for a 64-bit factor key, n >= 52, is refused with
+ValueError before any table is built; the default budget admits no such
+cell.  The tests hold the kernels to scalar Euclid.
 
 The vectorized census runs on ``workers`` threads (by default the CPU
 count), never more than it has gcd blocks; numpy releases the interpreter
 lock in the loops that do the work.  The gcd kernel's tables are built
-first, on the calling thread.  The factor sieve is then the first task of
-the pool, so that it runs beside the gcd blocks, none of which reads it.
+first, on the calling thread.  The factor sieve, with its decode, is then
+the first task of the pool, beside the gcd blocks, none of which reads it.
 A block is a run of up to _BLOCK // w codes of the sections in order, w
 the number of threads, so a small cell is one block however many sections
-it has; each block writes its square-free verdicts into its own part of
-one array indexed by code, and the calling thread cross-checks and counts
-it section by section, with the sections' weights, once the pool is done.
-With one thread, or one block, all of it runs serially on the calling
-thread.  About _BLOCK rows are in flight at any time, so peak memory does
-not grow with the number of threads.
+it has; each writes its square-free verdicts into its own part of one
+array indexed by code, which the calling thread cross-checks and counts,
+section by section, once the pool is done.  With one thread, or one
+block, all of it runs on the calling thread.  About _BLOCK rows are in
+flight at any time, whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -92,7 +70,7 @@ import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -128,8 +106,8 @@ def _candidates(p: int, n: int, budget: int, what: str) -> int:
     The budget bounds p**n, the polynomials a census counts, not the fewer
     codes it enumerates, a few per orbit (see _orbit_slices).
 
-    Callers run this before the primality test, a trial division.  When p**n
-    would have over four times the budget's bits it is refused unformed: then
+    Callers run this before the primality test.  When p**n would have over
+    four times the budget's bits it is refused unformed: then
     p**n >= 2**(bits(p) n / 2) > budget**2, and forming it can take seconds.
     """
     if p.bit_length() > 1 and p.bit_length() * n > 4 * budget.bit_length():
@@ -140,15 +118,25 @@ def _candidates(p: int, n: int, budget: int, what: str) -> int:
     return required
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981  # the least strong pseudoprime to all _MR_BASES
+
+
 def is_prime(p: int) -> bool:
-    """Primality by trial division; the oracle only handles prime fields."""
-    if p < 2:
-        return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
+    """Miller-Rabin to the prime bases 2..41, exact below _MR_BOUND
+    (Sorenson-Webster 2015); from there on it raises ValueError."""
+    if p >= _MR_BOUND:
+        raise ValueError(f"primality is decided only below {_MR_BOUND}, got {p}")
+    if p < 2 or any(p % b == 0 for b in _MR_BASES):
+        return p in _MR_BASES
+    twos = ((p - 1) & (1 - p)).bit_length() - 1
+    odd = (p - 1) >> twos  # p - 1 = odd 2^twos
+    for b in _MR_BASES:
+        x = pow(b, odd, p)
+        # a prime passes: b^(2^r odd) is 1 at r = 0 or -1 at some r < twos
+        powers = itertools.accumulate(range(twos - 1), lambda y, _: y * y % p, initial=x)
+        if x != 1 and p - 1 not in powers:
             return False
-        q += 1
     return True
 
 
@@ -417,16 +405,6 @@ def _census_scalar(p: int, n: int) -> dict[Partition, int]:
     if counts:
         raise RuntimeError(f"census produced non-partition types: {sorted(counts)}")
     return ordered
-
-
-# Vectorized engine.  A factor table holds, for every monic degree-d code in
-# the slices it was built on, indexed by code, its factorization type as an
-# index into partitions(d) and, where asked, whether it has a repeated factor.
-
-
-class _FactorTable(NamedTuple):
-    ftype: np.ndarray
-    repeated: np.ndarray | None
 
 
 def _orbit_slices(p: int, n: int) -> tuple[tuple[int, int, int], ...]:
@@ -709,70 +687,89 @@ def _multiples(
         yield _products(p, d, g[:, c], base, r), c, s
 
 
-def _cofactor_values(table: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
-    """table[starts[b] + t] at [t, b], for starts that are multiples of length.
+@lru_cache(maxsize=None)
+def _factor_key(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(radix, keys, types) of the degree-n factor key (see _sieve).
 
-    One start is read as a slice view, several as a gather of whole rows.
+    radix[e] is the place value of digit e <= n/2, which counts distinct
+    irreducible factors of degree e, at most n / e, so it runs below
+    n // e + 1.  keys are the keys of partitions(n), sorted, and types the
+    index of each one's partition.  The key is the narrowest unsigned dtype
+    that holds every digit: 16 bits up to n = 14, 32 up to n = 27 and 64 up
+    to n = 51; from n = 52 on, ValueError is raised.
     """
-    if starts.size == 1:
-        return table[int(starts[0]) : int(starts[0]) + length, None]
-    return table.reshape(-1, length)[starts // length].T
+    ranges = (n // e + 1 for e in range(1, n // 2 + 1))
+    *radix, bound = itertools.accumulate(ranges, lambda x, y: x * y, initial=1)
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if bound - 1 <= np.iinfo(dtype).max:
+            break
+    else:
+        bits = (bound - 1).bit_length()
+        raise ValueError(f"census of degree {n} needs a {bits}-bit factor key, more than the 64 of a word")
+    radix = np.array([0] + radix, dtype)
+    keys = [sum(int(radix[e]) for e in lam if 2 * e <= n) for lam in partitions(n)]
+    types = sorted(range(len(keys)), key=keys.__getitem__)
+    return radix, np.array(sorted(keys), dtype), np.array(types, _int_dtype(len(keys)))
 
 
 def _sieve(
     p: int, d: int, slices: Sequence[tuple[int, int, int]], squares: bool
-) -> _FactorTable:
-    """Factorization type, and with ``squares`` the repeated-factor flag, of
-    each degree-d code in the slices, indexed by code up to the last slice's
-    end.  The slices (lo, hi, weight) are disjoint prefix classes.
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """(key, ftype, repeated) of each degree-d code in the slices, indexed by
+    code up to the last slice's end: its factor key and, with ``squares``
+    (else None), its type as an index into partitions(d) where it has no
+    repeated factor, and its repeated-factor flag.  The slices (lo, hi,
+    weight) are disjoint prefix classes.
 
     For every e <= d/2, all irreducibles g of degree e together (see
     _multiples):
 
-    * the type of g * h is that of h with a part e added, for every monic h
-      of degree d - e with g * h in a slice, read from the whole degree
-      d - e table.  Each write to a code writes that code's type, and every
-      reducible code has an irreducible factor of degree <= d/2, so the
-      codes never written are the irreducibles, with ftype 0, the index of
-      (d,), and the codes outside the slices;
+    * every product g * h in a slice, h monic of degree d - e, adds
+      radix[e] (see _factor_key) to its code's key; np.add.at keeps every
+      addition of a batch to the same code.  So a key counts the distinct
+      irreducible factors of each degree <= d/2, whatever the order, and
+      the codes with key 0 are the irreducibles and those outside the slices;
     * g^2 * k has a repeated factor, for every monic k of degree d - 2e
       (k = 1 when d = 2e) with g^2 * k in a slice.  A code has a repeated
       factor exactly when it is divisible by such a square.
 
     The irreducibles of each slice, times its weight, must sum to M_d(p).
+    A square-free code has at most one factor above d/2, so its key is its
+    type's; keys are decoded in runs of _BATCH codes, and one that is no
+    type's raises RuntimeError.
     """
-    types = partitions(d)
-    type_index = {lam: i for i, lam in enumerate(types)}
+    radix, type_keys, types = _factor_key(d)
     size = slices[-1][1]
-    ftype = np.zeros(size, np.uint8 if len(types) <= 256 else np.uint16)
+    key = np.zeros(size, radix.dtype)
     repeated = np.zeros(size, bool) if squares else None
     for e in range(1, d // 2 + 1):
-        add_e = [
-            type_index[tuple(sorted(mu + (e,), reverse=True))] for mu in partitions(d - e)
-        ]
-        htype = np.array(add_e, ftype.dtype)[_factor_table(p, d - e)]
         g = _monic_rows(p, e, _irreducible_codes(p, e))
-        for codes, _, starts in _multiples(p, d, g, slices):
-            ftype[codes] = _cofactor_values(htype, starts, codes.shape[0])
+        for codes, _, _ in _multiples(p, d, g, slices):
+            np.add.at(key, codes, radix[e])
         if squares:
             for codes, _, _ in _multiples(p, d, _convolve(g, g, p), slices):
                 repeated[codes] = True
-    irreducible = sum(
-        weight * (hi - lo - np.count_nonzero(ftype[lo:hi])) for lo, hi, weight in slices
-    )
+    irreducible = sum(w * (hi - lo - np.count_nonzero(key[lo:hi])) for lo, hi, w in slices)
     _check_irreducible_count(p, d, irreducible)
-    return _FactorTable(ftype, repeated)
-
-
-@lru_cache(maxsize=None)
-def _factor_table(p: int, d: int) -> np.ndarray:
-    """The factorization type of every degree-d code: the tables below the census degree."""
-    return _sieve(p, d, ((0, p**d, 1),), squares=False).ftype
+    if not squares:
+        return key, None, None
+    ftype = np.zeros(size, types.dtype)
+    for lo, hi, _ in slices:
+        for start in range(lo, hi, _BATCH):
+            run = slice(start, min(start + _BATCH, hi))
+            free = ~repeated[run]
+            found = key[run][free]
+            at = np.searchsorted(type_keys, found)
+            if not np.array_equal(type_keys.take(at, mode="clip"), found):
+                raise RuntimeError(f"a square-free factor key is no type's: F_{p}, d={d}")
+            ftype[run][free] = types[at]
+    return key, ftype, repeated
 
 
 @lru_cache(maxsize=None)
 def _irreducible_codes(p: int, d: int) -> np.ndarray:
-    return np.flatnonzero(_factor_table(p, d) == 0)
+    """The irreducible degree-d codes; a census of degree n reads d <= n/2 only."""
+    return np.flatnonzero(_sieve(p, d, ((0, p**d, 1),), squares=False)[0] == 0)
 
 
 # Gcd kernels: Euclid on a block of codes at once (see _Kernel).
@@ -1167,15 +1164,14 @@ def _timed(task, *args) -> tuple[object, float]:
 def _census_vector(
     p: int, n: int, workers: int | None
 ) -> tuple[dict[Partition, int], dict[str, float]]:
-    # the gcd tables are built first, on this thread, so that a cell too wide
-    # for a word is refused before any factor table is built
+    # on this thread, a cell too wide for the key or the words is refused first
+    _factor_key(n)
     _, setup = _timed(_kernel, p, n)
     slices = _orbit_slices(p, n)
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
-    # blocks of up to ``block`` codes, each one or more runs of the sections
-    # in order, so that a small cell is one block however many sections it
-    # has; a run (lo, hi, at) is the codes [lo, hi) at row ``at`` of its block
+    # blocks as in the module docstring; a run (lo, hi, at) is the codes
+    # [lo, hi) at row ``at`` of its block
     blocks: list[list[tuple[int, int, int]]] = []
     room = 0
     for lo, hi, _ in slices:
@@ -1216,14 +1212,18 @@ def _census_vector(
         # a failure is raised here; nothing was dropped unless something failed
         results = [future.result() for future in futures if not future.cancelled()]
     (table, sieve_seconds), *blocks = results
+    ftype, sieve_repeated = table[1:]
+    # the keys are freed here, after the gcd blocks: freeing so large an array
+    # beside them raises glibc's mmap threshold, and their buffers stay in the heap
+    results = futures = table = None
     start = time.perf_counter()
     counts = np.zeros(len(partitions(n)), np.int64)
     for lo, hi, weight in slices:
-        if not np.array_equal(table.repeated[lo:hi], repeated[lo:hi]):
+        if not np.array_equal(sieve_repeated[lo:hi], repeated[lo:hi]):
             raise RuntimeError(
                 f"gcd square-freeness disagrees with factorization over F_{p}, n={n}"
             )
-        squarefree = table.ftype[lo:hi][~repeated[lo:hi]]
+        squarefree = ftype[lo:hi][~repeated[lo:hi]]
         counts += weight * np.bincount(squarefree, minlength=counts.size)
     seconds = {
         "sieve": sieve_seconds,

@@ -43,6 +43,25 @@ def test_is_prime():
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
+def test_is_prime_matches_trial_division():
+    small = [q for q in range(2, 317) if all(q % r for r in range(2, q))]
+    for p in range(-3, 10**5):
+        expected = p >= 2 and all(p % q for q in small if q * q <= p)
+        assert is_prime(p) == expected, p
+
+
+def test_is_prime_on_strong_pseudoprimes_and_its_bound():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up
+    # to 23, and the Mersenne prime 2^61 - 1
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime(2**61 - 1) and not is_prime((2**61 - 1) * 1000003)
+    bound = fforacle._MR_BOUND
+    assert not is_prime(bound - 2)
+    with pytest.raises(ValueError, match=f"decided only below {bound}"):
+        is_prime(bound)
+
+
 def test_code_roundtrip():
     for p in (2, 3, 5):
         for code in range(min(p**3, 60)):
@@ -252,34 +271,41 @@ def test_scalar_reference_raises_on_inconsistent_factors(monkeypatch):
         fforacle._census_scalar(3, 2)
 
 
+def assert_sieve_matches_factor_list(p, d, sieved, codes, irr):
+    # one factor_list per code gives its key, the sum of radix[deg g] over its
+    # distinct irreducible factors g of degree <= d/2, its repeated-factor
+    # flag, and where that is clear its type
+    key, ftype, flag = sieved
+    radix = fforacle._factor_key(d)[0]
+    for code in codes:
+        factors = factor_list(poly_from_code(code, d, p), p, irr)
+        degrees = [poly_degree(g) for g, _ in factors]
+        assert key[code] == sum(int(radix[e]) for e in degrees if 2 * e <= d), (p, code)
+        repeated = any(m > 1 for _, m in factors)
+        assert flag[code] == repeated, (p, code)
+        if not repeated:
+            lam = tuple(sorted(degrees, reverse=True))
+            assert partitions(d)[ftype[code]] == lam, (p, code)
+
+
 @pytest.mark.parametrize("p, d", [(2, 10), (3, 6), (5, 4), (7, 3), (11, 3)])
 def test_factor_table_matches_trial_division(p, d):
-    # the whole-range sieve holds the type and repeated flag of every code,
-    # square-free or not; the cached tables below the census degree hold the
-    # same types and no flags
-    table = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
-    assert np.array_equal(fforacle._factor_table(p, d), table.ftype)
-    irr = enumerate_irreducibles(p, d)
-    for code in range(p**d):
-        f = poly_from_code(code, d, p)
-        factors = factor_list(f, p, irr)
-        assert partitions(d)[table.ftype[code]] == factor_type(f, p, irr), (p, code)
-        assert table.repeated[code] == any(m > 1 for _, m in factors), (p, code)
+    # the whole-range sieve holds the key and the repeated flag of every
+    # code, and the type of every square-free one; the cached irreducibles
+    # are the codes of key 0
+    sieved = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
+    assert np.array_equal(fforacle._irreducible_codes(p, d), np.flatnonzero(sieved[0] == 0))
+    assert_sieve_matches_factor_list(p, d, sieved, range(p**d), enumerate_irreducibles(p, d))
 
 
 @pytest.mark.parametrize("p, d", [(2, 20), (3, 13)])
 def test_products_match_trial_division_on_sampled_codes(p, d):
     # both cells are past the exhaustive ones, over F_2 and over odd p; half
     # the sample has a squared linear factor, so repeated flags occur
-    table = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
-    irr = enumerate_irreducibles(p, d // 2)
+    sieved = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
     codes = sampled_codes(p, d, 2000, seed=d)
-    assert table.repeated[codes].sum() >= 1000
-    for code in codes.tolist():
-        f = poly_from_code(code, d, p)
-        factors = factor_list(f, p, irr)
-        assert partitions(d)[table.ftype[code]] == factor_type(f, p, irr), code
-        assert table.repeated[code] == any(m > 1 for _, m in factors), code
+    assert sieved[2][codes].sum() >= 1000
+    assert_sieve_matches_factor_list(p, d, sieved, codes.tolist(), enumerate_irreducibles(p, d // 2))
 
 
 def scalar_gcd_degree(p, n, code):
@@ -440,6 +466,24 @@ def test_cells_wider_than_a_word_are_refused(p, n, monkeypatch):
     assert built == []
 
 
+def test_cells_wider_than_the_factor_key_are_refused(monkeypatch):
+    # the key's digit ranges multiply to 2^16 or less up to n = 14, 2^32 up
+    # to n = 27 and 2^64 up to n = 51; (2, 52) fits the gcd words but not a
+    # 64-bit key, and is refused, within budget, before any table is built
+    with monkeypatch.context() as patch:
+        # the keys of the 239,943 partitions of 51 are not asked for here
+        patch.setattr(fforacle, "partitions", lambda n: ())
+        radix = {n: fforacle._factor_key.__wrapped__(n)[0] for n in (14, 15, 27, 28, 51)}
+    assert {n: r.dtype.itemsize for n, r in radix.items()} == {14: 2, 15: 4, 27: 4, 28: 8, 51: 8}
+    _narrow_lanes(2, 52)
+    built = []
+    monkeypatch.setattr(fforacle, "_sieve", lambda *cell: built.append(cell))
+    monkeypatch.setattr(fforacle, "_kernel", lambda *cell: built.append(cell))
+    with pytest.raises(ValueError, match="census of degree 52 needs a 66-bit factor key"):
+        factor_type_census(2, 52, budget=2**52)
+    assert built == []
+
+
 def test_default_budget_admits_no_refused_cell():
     # lane width grows with p, so the largest p with p^n within the budget
     # is the widest cell of degree n
@@ -451,6 +495,7 @@ def test_default_budget_admits_no_refused_cell():
         while (p + 1) ** n <= DEFAULT_BUDGET:
             p += 1
         _narrow_lanes(p, n)
+        fforacle._factor_key(n)
         n += 1
 
 
@@ -465,7 +510,6 @@ def test_vector_census_large_primes(p, n):
 
 
 def clear_factor_tables():
-    fforacle._factor_table.cache_clear()
     fforacle._irreducible_codes.cache_clear()
 
 
@@ -529,6 +573,38 @@ def test_sieve_failure_in_a_thread_reaches_caller(monkeypatch):
     assert threading.active_count() == threads_before
     # the blocks not yet started when the sieve failed never ran
     assert len(blocks_run) < 9
+
+
+def test_undecodable_key_in_the_sieve_thread_reaches_caller(monkeypatch):
+    # the sieve adds radix[1] = radix[2] against the true keys of the types:
+    # a code x (x + 1) h, h irreducible of degree 6, keys as two quadratics,
+    # which leave 4, no part above 8/2
+    clear_factor_tables()
+    factor_key, sieve = fforacle._factor_key, fforacle._sieve
+    raised_on = []
+
+    def wrong_digit(n):
+        radix, keys, types = factor_key(n)
+        if n == 8:
+            radix = radix.copy()
+            radix[1] = radix[2]
+        return radix, keys, types
+
+    def record(*args, **kwargs):
+        try:
+            return sieve(*args, **kwargs)
+        except RuntimeError:
+            raised_on.append(threading.current_thread())
+            raise
+
+    monkeypatch.setattr(fforacle, "_factor_key", wrong_digit)
+    monkeypatch.setattr(fforacle, "_sieve", record)
+    monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 9 blocks of up to 256 codes on 2 threads
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match=r"a square-free factor key is no type's: F_3, d=8"):
+        factor_type_census(3, 8, workers=2)
+    assert threading.active_count() == threads_before
+    assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
 
 
 def test_worker_thread_failure_reaches_caller(monkeypatch):
@@ -614,7 +690,7 @@ def test_irreducible_counts_checked_by_both_engines(monkeypatch):
     with pytest.raises(RuntimeError, match=message):
         enumerate_irreducibles(3, 2)
     with pytest.raises(RuntimeError, match=message):
-        fforacle._factor_table.__wrapped__(3, 1)
+        fforacle._irreducible_codes.__wrapped__(3, 1)
 
 
 def test_census_vs_theory_reports():

@@ -300,6 +300,10 @@ def test_cli_verify_json():
         ("oracle", "--p", "2", "--n", "3", "--workers", "-3"),
         ("oracle", "--p", "2", "--n", "3", "--workers", str((os.cpu_count() or 1) + 1)),
         ("oracle", "--p", "2305843009213693951", "--n", "1"),
+        # a product of the primes 2^30 + 3 and 2^30 + 7, and a number past the
+        # bound below which primality is decided, both within budget
+        ("oracle", "--p", str(1073741827 * 1073741831), "--n", "1", "--budget", str(2**61)),
+        ("oracle", "--p", "3317044064679887385961983", "--n", "1", "--budget", str(10**25)),
         ("oracle", "--p", "3", "--n", "100000000"),
         *(("verify", suite, "--workers", "1")
           for suite in SUITE_NAMES if suite not in ("oracle", "all")),
