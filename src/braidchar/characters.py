@@ -289,6 +289,12 @@ def closed_form_check(n: int, k: int, lam: Partition) -> int:
         raise ValueError(f"{lam} is not a partition of {n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
+    return _closed_form(n, k, lam)
+
+
+def _closed_form(n: int, k: int, lam: Partition) -> int:
+    """closed_form_check without validation, for lam from partitions(n) and
+    0 <= k <= n."""
     candidates: list[int] = []
     if k == 1:
         candidates.append(closed_form_h1(lam))

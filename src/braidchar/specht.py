@@ -18,11 +18,12 @@ in absolute value, which is below 2^63 up to n = 32 and above it from
 n = 33; so the tables, and everything built on them, are refused (with
 ValueError) for n > 32 before anything is built.
 
-Dimensions come independently from the hook length formula.  A rational
-class function is decomposed into irreducibles by exact dot products of
-its class-size-weighted values with the table rows: the Python-int weights
-are cut into limbs narrow enough that no int64 sum can wrap, each limb
-goes through the int64 table, and the limbs are recombined in Python ints.
+Dimensions come independently from the hook length formula, cached once
+per partition.  A rational class function is decomposed into irreducibles
+by exact dot products of its class-size-weighted values with the table
+rows: the Python-int weights are cut into limbs narrow enough that no int64
+sum can wrap, each limb goes through the int64 table, and the limbs are
+recombined in Python ints.
 """
 
 from __future__ import annotations
@@ -49,10 +50,17 @@ from .partitions import (
 def irrep_dimension(mu: Partition) -> int:
     """Dimension of the irreducible S_n module labeled mu (hook lengths).
 
+    mu is validated here, where input enters; the hook product itself is
+    cached once per partition (`_irrep_dimension`).
+
     >>> irrep_dimension((3, 1, 1))
     6
     """
-    mu = check_partition(mu)
+    return _irrep_dimension(check_partition(mu))
+
+
+@cache
+def _irrep_dimension(mu: Partition) -> int:
     n = sum(mu)
     cols = conjugate(mu)
     hooks = 1
@@ -231,7 +239,10 @@ class IrrepDecomposition:
 
     @property
     def dimension(self) -> int:
-        return sum(m * irrep_dimension(mu) for mu, m in self.terms)
+        """Sum of multiplicity times irreducible dimension.  The labels come
+        from partitions(n), so each dimension is read from the cached hook
+        product without validating it again."""
+        return sum(m * _irrep_dimension(mu) for mu, m in self.terms)
 
     def as_dict(self) -> dict[Partition, int]:
         return dict(self.terms)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any
 
 from .characters import a_character, braid_character
-from .measures import splitting_coefficients
+from .measures import _splitting_measure
 from .partitions import class_data, format_partition, partitions
 from .specht import IrrepDecomposition, decompose
 
@@ -101,7 +101,7 @@ def measures_table(
     json_rows: list[dict] = []
     for lam in partitions(n):
         cls = class_data(lam)
-        m = splitting_coefficients(lam)
+        m = _splitting_measure(lam)
         alpha = [str(a) for a in m.alpha]
         line = [format_partition(lam), cls.class_size, cls.centralizer_order, *alpha]
         row: dict[str, Any] = dict(zip(header, line[:3]), alpha=alpha)

@@ -11,6 +11,18 @@ binding it with ``for x in [...]`` where a generator expression needs it.
 Suites are deterministic: the check list and its order depend only on the
 limits, never on timing or scheduling.
 
+Three identity checks compare exact integers, the forms the library stores:
+the cycle-polynomial sum reads sum_lam |C_lam| z_lam N_lam = n! (z^n -
+z^(n-1)) from `scaled_cycle_polynomial`, and the coefficient identity and the
+measure normalization read z_lam alpha_k = (-1)^k chi_n^k(lam) and
+sum_lam |C_lam| z_lam alpha_k = n! [k = 0] from `SplittingMeasure.scaled`.
+So a FAIL shows those scaled integers.  The `Fraction` route to the same
+identities stays in the tier-1 tests: acceptance criterion 11,
+``tests/test_ratpoly.py`` and ``tests/test_measures.py``.  The checks sweep
+partitions(n), valid by construction, so they call the unvalidated cores
+(`_splitting_measure`, `_closed_form`); input is validated where it enters
+the library.
+
 The default limits keep a full ``run_suite("all")`` under two minutes:
 polynomial/character identities up to n = 12, anything needing full
 character tables up to n = 9, and a finite-field census grid capped at
@@ -23,23 +35,23 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import factorial, prod
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from . import reference
 from .characters import (
     ClassFunction,
     NoClosedFormError,
+    _closed_form,
     a_character,
     b_character,
     b_character_signed,
     braid_character,
-    closed_form_check,
     sign_twisted_sum,
 )
 from .fforacle import census_vs_theory
-from .measures import measure_value, splitting_coefficients
-from .partitions import class_data, divisors, format_partition, partitions
-from .ratpoly import RatPoly, Z, cycle_polynomial, necklace_polynomial
+from .measures import _splitting_measure, measure_value, splitting_coefficients
+from .partitions import Partition, class_data, divisors, format_partition, partitions
+from .ratpoly import RatPoly, Z, necklace_polynomial, scaled_cycle_polynomial
 from .specht import decompose
 
 SUITE_NAMES = (
@@ -219,10 +231,16 @@ def _closed_form_cells(max_n: int) -> Iterator[Cell]:
             h = braid_character(n, k)
             for lam in partitions(n):
                 try:
-                    value = closed_form_check(n, k, lam)
+                    value = _closed_form(n, k, lam)
                 except NoClosedFormError:
                     continue
                 yield (n, k, lam), value, h(lam)
+
+
+def _class_weighted_sum(n: int, row: Callable[[Partition], tuple[int, ...]]) -> list[int]:
+    """sum over lam of n of |C_lam| * row(lam), entry by entry."""
+    return [sum(column) for column in zip(*(
+        [class_data(lam).class_size * c for c in row(lam)] for lam in partitions(n)))]
 
 
 def _suite_identities(limits: VerifyLimits) -> Iterator[Check]:
@@ -233,9 +251,11 @@ def _suite_identities(limits: VerifyLimits) -> Iterator[Check]:
         ((f"j={j}", sum((d * necklace_polynomial(d) for d in divisors(j)), zero), Z**j)
          for j in range(1, max_n + 1)),
     )
+    # |C_lam| z_lam = n!, so sum_lam |C_lam| z_lam N_lam = n! (z^n - z^(n-1))
     yield _compare(
         f"cycle polynomial sum = z^n - z^(n-1), 2<=n<={max_n}",
-        ((f"n={n}", sum(map(cycle_polynomial, partitions(n)), zero), Z**n - Z**(n - 1))
+        ((f"n={n}", _class_weighted_sum(n, scaled_cycle_polynomial),
+          [0] * (n - 1) + [-factorial(n), factorial(n)])
          for n in range(2, max_n + 1)),
     )
     yield _compare(
@@ -255,19 +275,21 @@ def _suite_identities(limits: VerifyLimits) -> Iterator[Check]:
          ]
          for lam in partitions(n)),
     )
+    # the next two read z_lam alpha_k, the integers `scaled` holds; since
+    # |C_lam| z_lam = n!, the normalization's columns sum to (n!, 0, ..)
     yield _compare(
         f"coefficient identity alpha_k = (-1)^k chi_k / z, n<={max_n}",
-        (((n, k, lam), alpha, Fraction((-1) ** k * a_character(n, k)(lam), z_order))
-         for n in range(2, max_n + 1) for lam in partitions(n)
-         for z_order in [class_data(lam).centralizer_order]
-         for k, alpha in enumerate(splitting_coefficients(lam).alpha)),
+        (((n, k, lam), scaled, (-1) ** k * chis[k](lam))
+         for n in range(2, max_n + 1)
+         for chis in [[a_character(n, k) for k in range(n)]]
+         for lam in partitions(n)
+         for k, scaled in enumerate(_splitting_measure(lam).scaled)),
     )
     yield _compare(
         f"measure normalization: alpha columns sum to (1,0,..), n<={max_n}",
         ((f"n={n} column sums",
-          [sum(column) for column in zip(*(
-              splitting_coefficients(lam).alpha for lam in partitions(n)))],
-          [Fraction(1)] + [Fraction(0)] * (n - 1))
+          _class_weighted_sum(n, lambda lam: _splitting_measure(lam).scaled),
+          [factorial(n)] + [0] * (n - 1))
          for n in range(2, max_n + 1)),
     )
     yield _compare(

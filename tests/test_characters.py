@@ -5,7 +5,8 @@ from math import factorial
 
 import pytest
 
-from braidchar import characters, reference
+import braidchar
+from braidchar import characters, measures, reference, specht, tables, verify
 from braidchar.characters import (
     ClassFunction,
     NoClosedFormError,
@@ -17,8 +18,10 @@ from braidchar.characters import (
     inner_product,
     sign_twisted_sum,
 )
+from braidchar.measures import measure_value, splitting_coefficients
 from braidchar.partitions import class_data, partitions, sign_character
-from braidchar.specht import irreducible_character
+from braidchar.ratpoly import cycle_polynomial
+from braidchar.specht import decompose, irrep_dimension, irreducible_character
 
 
 def unsigned_stirling_row(n: int) -> list[int]:
@@ -328,6 +331,40 @@ def test_class_function_call_validates_only_a_miss(monkeypatch):
         with pytest.raises(ValueError, match=text):
             f(bad)
     assert checked == [[2, 1], [1, 2], ("a",), (3, 0), (2, 2)]
+
+
+def test_partitions_are_validated_where_input_enters(monkeypatch):
+    checked = []
+    real = characters.check_partition
+    for module in vars(braidchar).values():
+        if getattr(module, "check_partition", None) is real:
+            monkeypatch.setattr(
+                module, "check_partition", lambda lam: checked.append(lam) or real(lam)
+            )
+    # the cached cores start cold, so their first computation is recorded too
+    measures._splitting_measure.cache_clear()
+    specht._irrep_dimension.cache_clear()
+    tables.measures_table(12)
+    assert decompose(a_character(12, 2)).dimension == a_character(12, 2).dimension
+    assert verify.run_suite("identities").passed
+    assert checked == []
+    # every public entry point still refuses a bad partition, with the same message
+    entries = [
+        irrep_dimension,
+        splitting_coefficients,
+        lambda lam: measure_value(lam, 2),
+        lambda lam: closed_form_check(3, 1, lam),
+        cycle_polynomial,
+    ]
+    for bad, text in [
+        ([1, 2], r"weakly decreasing, got \(1, 2\)"),
+        (("a",), "parts must be integers, got 'a'"),
+        ((3, 0), "parts must be positive, got 0"),
+    ]:
+        for entry in entries:
+            with pytest.raises(ValueError, match=text):
+                entry(bad)
+    assert checked == [bad for bad in ([1, 2], ("a",), (3, 0)) for _ in entries]
 
 
 def test_regular_class_function():

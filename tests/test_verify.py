@@ -1,13 +1,15 @@
 """Runtime verification suites."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from braidchar import reference, verify
-from braidchar.characters import braid_character
+from braidchar.characters import a_character, braid_character
 from braidchar.cli import main
+from braidchar.partitions import class_data
 from braidchar.verify import (
     SUITE_NAMES,
     Check,
@@ -215,10 +217,10 @@ def test_tables_suite_fails_on_a_wrong_reference_value(monkeypatch):
 
 
 def test_identities_suite_fails_on_a_wrong_closed_form(monkeypatch):
-    real = verify.closed_form_check
+    real = verify._closed_form
     monkeypatch.setattr(
         verify,
-        "closed_form_check",
+        "_closed_form",
         lambda n, k, lam: real(n, k, lam) + ((n, k, lam) == (4, 1, (3, 1))),
     )
     report = run_suite("identities", SMALL)
@@ -226,6 +228,57 @@ def test_identities_suite_fails_on_a_wrong_closed_form(monkeypatch):
     assert bad.description.startswith("closed forms agree with extraction")
     h = braid_character(4, 1)((3, 1))
     assert bad.details == f"(n=4, k=1, lambda=3,1) expected {h} got {h + 1}"
+
+
+def test_identities_suite_cell_counts_at_default_limits():
+    report = run_suite("identities")
+    assert report.passed
+    assert [c.cells for c in report.checks] == [12, 11, 271, 2375, 2645, 11, 1117, 24]
+
+
+def test_identities_suite_fails_on_a_wrong_cycle_polynomial(monkeypatch):
+    real = verify.scaled_cycle_polynomial
+    lam = (2, 2)
+
+    def shifted(mu):
+        poly = real(mu)
+        return (poly[0], poly[1] + 1, *poly[2:]) if mu == lam else poly
+
+    monkeypatch.setattr(verify, "scaled_cycle_polynomial", shifted)
+    report = run_suite("identities", SMALL)
+    [bad] = report.failures
+    assert bad.description == "cycle polynomial sum = z^n - z^(n-1), 2<=n<=7"
+    # n! (z^4 - z^3), and the shift once per permutation of the class
+    size = class_data(lam).class_size
+    assert bad.details == f"n=4 expected [0, 0, 0, -24, 24] got [0, {size}, 0, -24, 24]"
+    assert all(c.status == "PASS" for c in report.checks if c is not bad)
+
+
+def test_identities_suite_fails_on_a_wrong_scaled_coefficient(monkeypatch):
+    real = verify._splitting_measure
+    lam = (3, 1)
+
+    def shifted(mu):
+        m = real(mu)
+        if mu != lam:
+            return m
+        return replace(m, scaled=(m.scaled[0], m.scaled[1] + 1, *m.scaled[2:]))
+
+    monkeypatch.setattr(verify, "_splitting_measure", shifted)
+    report = run_suite("identities", SMALL)
+    identity, normalization = report.failures
+    h = -a_character(4, 1)(lam)
+    assert identity.description == "coefficient identity alpha_k = (-1)^k chi_k / z, n<=7"
+    assert identity.details == f"(n=4, k=1, lambda=3,1) expected {h} got {h + 1}"
+    assert normalization.description == (
+        "measure normalization: alpha columns sum to (1,0,..), n<=7"
+    )
+    size = class_data(lam).class_size
+    assert normalization.details == (
+        f"n=4 column sums expected [24, 0, 0, 0] got [24, {size}, 0, 0]"
+    )
+    others = [c for c in report.checks if c not in (identity, normalization)]
+    assert len(others) == 6 and all(c.status == "PASS" for c in others)
 
 
 def test_theorems_suite_fails_on_a_wrong_character(monkeypatch):
