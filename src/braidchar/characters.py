@@ -46,6 +46,12 @@ class NoClosedFormError(ValueError):
     """Raised when no closed form covers the requested character value."""
 
 
+@cache
+def _classes(n: int) -> frozenset[Partition]:
+    """The partitions of n as one set, the keys every class function on S_n has."""
+    return frozenset(partitions(n))
+
+
 @dataclass(frozen=True)
 class ClassFunction:
     """A function on the conjugacy classes of S_n, stored per cycle type."""
@@ -54,8 +60,7 @@ class ClassFunction:
     values: Mapping[Partition, Fraction] = field(compare=True)
 
     def __post_init__(self):
-        expected = set(partitions(self.n))
-        if set(self.values) != expected:
+        if self.values.keys() != _classes(self.n):
             raise ValueError(f"values must cover all partitions of {self.n}")
 
     def __call__(self, lam: Partition) -> Fraction:
@@ -289,12 +294,15 @@ def closed_form_check(n: int, k: int, lam: Partition) -> int:
         raise ValueError(f"{lam} is not a partition of {n}")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}")
-    return _closed_form(n, k, lam)
+    value = _closed_form(n, k, lam)
+    if value is None:
+        raise NoClosedFormError(f"no closed form for h_{n}^{k} at {lam}")
+    return value
 
 
-def _closed_form(n: int, k: int, lam: Partition) -> int:
+def _closed_form(n: int, k: int, lam: Partition) -> int | None:
     """closed_form_check without validation, for lam from partitions(n) and
-    0 <= k <= n."""
+    0 <= k <= n; None where no closed form covers the cell."""
     candidates: list[int] = []
     if k == 1:
         candidates.append(closed_form_h1(lam))
@@ -307,7 +315,7 @@ def _closed_form(n: int, k: int, lam: Partition) -> int:
     if lam == (n,):
         candidates.append(closed_form_h_ncycle(n, k))
     if not candidates:
-        raise NoClosedFormError(f"no closed form for h_{n}^{k} at {lam}")
+        return None
     if any(c != candidates[0] for c in candidates):
         raise ArithmeticError(
             f"closed forms disagree for h_{n}^{k}({lam}): {candidates}"

@@ -7,11 +7,12 @@ read from the table of S_(n-t).  Each partition is one uint64 bead mask,
 its beta set on n beads (James-Kerber, The Representation Theory of the
 Symmetric Group, 1981): removing a t-strip moves one bead from b down to
 an empty b - t, with the sign of the parity of the beads in between.  So
-for each t the strips of every mu come from one array step on the masks,
-and each mu - strip is found by a sorted search in the masks of degree
-n - t.  The columns with lam[0] = t form one block, and each t costs one
-gather of signed rows of the degree n - t array and one scatter-add into
-that block.
+the strips of every mu, of every length t = n..1, are found once per
+degree, by one array pass that shifts the masks by a column of lengths,
+with their signs and the masks of the partitions left behind.  The columns
+with lam[0] = t form one block, and each t then costs a sorted search of
+its mu - strip in the masks of degree n - t, one gather of signed rows of
+the degree n - t array, and one scatter-add into that block.
 
 Every partial sum of the rule has at most n terms of at most sqrt((n-1)!)
 in absolute value, which is below 2^63 up to n = 32 and above it from
@@ -23,7 +24,8 @@ per partition.  A rational class function is decomposed into irreducibles
 by exact dot products of its class-size-weighted values with the table
 rows: the Python-int weights are cut into limbs narrow enough that no int64
 sum can wrap, each limb goes through the int64 table, and the limbs are
-recombined in Python ints.
+recombined in Python ints.  The limb width is set by the largest row (or,
+for the transpose, column) sum of |chi|, computed once per table.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, frexp, lcm
+from numbers import Rational
 
 import numpy as np
 
@@ -122,55 +125,98 @@ def _table(n: int) -> np.ndarray:
     parts = partitions(n)
     masks = _bead_masks(n)
     one = np.uint64(1)
+    # every strip of every length at once: block i holds the t = n - i strips,
+    # and each bead b >= t above an empty b - t tops one t-strip
+    lengths = np.arange(n, 0, -1, dtype=np.uint64)[:, None]
+    tops = masks & ~(masks << lengths) & ~((one << lengths) - one)
+    bits = np.unpackbits(
+        tops.astype("<u8").view(np.uint8).reshape(n, len(parts), 8),
+        axis=2,
+        count=2 * n,
+        bitorder="little",
+    )
+    # (block, row of mu, b) triples, in block order and then row order
+    blocks, rows, beads = np.nonzero(bits.view(bool))
+    # each array is freed once read: the fill below builds the smaller
+    # tables on first use, and anything still held here stays allocated
+    del tops, bits
+    shifts = n - blocks.astype(np.uint64)
+    beads = beads.astype(np.uint64)
+    held = masks[rows]
+    # the sign is the parity of the beads the move jumps over
+    between = (one << beads) - (one << (beads - shifts + one))
+    signs = 1 - 2 * _parity(held & between).astype(np.int64)
+    # mu - strip keeps n beads, the low t of them at 0..t-1, so shifting
+    # them off gives its n - t bead mask, looked up in the decreasing array
+    moved = (held ^ (one << beads) ^ (one << (beads - shifts))) >> shifts
+    del held, between, beads, shifts
+    # each run of strips of one mu in one block sums into one row of the block
+    starts = np.flatnonzero(np.diff(blocks * len(parts) + rows, prepend=-1))
+    heads = rows[starts]
+    bounds = np.searchsorted(blocks, np.arange(n + 1))
+    runs = np.searchsorted(starts, bounds).tolist()
+    bounds = bounds.tolist()
+    del blocks, rows
     table = np.zeros((len(parts), len(parts)), np.int64)
     # The columns lam with lam[0] = t form one block, for t = n down to 1.
     # Across a block lam[1:] runs, in order, over the partitions of n - t
     # with first part at most t: the last `width` rows of the n - t table.
     widths = Counter(lam[0] for lam in parts)
     col = 0
-    for t in range(n, 0, -1):
+    for i, t in enumerate(range(n, 0, -1)):
+        lo, hi = bounds[i : i + 2]
+        first, last = runs[i : i + 2]
         width = widths[t]
-        shift = np.uint64(t)
-        # each bead b >= t above an empty b - t tops one t-strip; the
-        # (row of mu, b) pairs come in row order
-        tops = masks & ~(masks << shift) & ~((one << shift) - one)
-        bits = np.unpackbits(
-            tops.astype("<u8").view(np.uint8).reshape(-1, 8),
-            axis=1,
-            count=2 * n,
-            bitorder="little",
-        )
-        rows, beads = np.nonzero(bits.view(bool))
-        beads = beads.astype(np.uint64)
-        held = masks[rows]
-        # the sign is the parity of the beads the move jumps over
-        between = (one << beads) - (one << (beads - shift + one))
-        signs = 1 - 2 * _parity(held & between).astype(np.int64)
-        # mu - strip keeps n beads, the low t of them at 0..t-1, so shifting
-        # them off gives its n - t bead mask, looked up in the decreasing array
-        moved = (held ^ (one << beads) ^ (one << (beads - shift))) >> shift
         smaller = _table(n - t)
-        sources = len(smaller) - 1 - np.searchsorted(_bead_masks(n - t)[::-1], moved)
+        sources = len(smaller) - 1 - np.searchsorted(_bead_masks(n - t)[::-1], moved[lo:hi])
         tails = smaller[sources, len(smaller) - width :]  # a gathered copy, signed in place
-        tails *= signs[:, None]
-        firsts = np.flatnonzero(np.diff(rows, prepend=-1))
-        table[rows[firsts], col : col + width] = np.add.reduceat(tails, firsts)
+        tails *= signs[lo:hi, None]
+        table[heads[first:last], col : col + width] = np.add.reduceat(
+            tails, starts[first:last] - lo
+        )
         col += width
     return table
 
 
-def _exact_products(matrix: np.ndarray, weights: list[int]) -> list[int]:
+#: Rows of the table whose |values| are summed at a time by `_limb_bounds`.
+_SLAB = 128
+
+
+@cache
+def _limb_bounds(n: int) -> tuple[float, float]:
+    """The largest row sum and the largest column sum of |chi| over S_n.
+
+    They set the limb width of `_exact_products` for the table (decompose)
+    and its transpose (`IrrepDecomposition.as_class_function`), so they are
+    summed once per table, in float64, a slab of rows at a time: no
+    temporary as large as the table is made.
+    """
+    table = _table(n)
+    rows = []
+    columns = np.zeros(len(table))
+    for lo in range(0, len(table), _SLAB):
+        slab = np.abs(table[lo : lo + _SLAB])
+        rows.append(slab.sum(axis=1, dtype=np.float64).max())
+        columns += slab.sum(axis=0, dtype=np.float64)
+    return float(max(rows)), float(columns.max())
+
+
+def _exact_products(
+    matrix: np.ndarray, weights: list[int], bound: float | None = None
+) -> list[int]:
     """matrix @ weights in Python ints, for an int64 matrix and int weights.
 
     Each weight is cut into limbs of `bits` bits, two's complement: the
     low limbs lie in [0, 2^bits) and the top one, which carries the sign,
     in [-2^bits, 2^bits).  All the limbs go through one int64 matrix
-    product.  With S the largest row sum of |matrix|, S * 2^bits < 2^63,
-    so no int64 sum can wrap: S is summed in float64, within a factor
-    1 + 2^-38 of exact, and bits leaves one bit for that.  A matrix whose
-    row sums leave no bit at all is summed in two halves of its columns.
+    product.  With S the largest row sum of |matrix| (`bound`, summed here
+    when not given), S * 2^bits < 2^63, so no int64 sum can wrap: S is
+    summed in float64, within a factor 1 + 2^-38 of exact, and bits leaves
+    one bit for that.  A matrix whose row sums leave no bit at all is
+    summed in two halves of its columns.
     """
-    bound = np.abs(matrix).sum(axis=1, dtype=np.float64).max(initial=0.0)
+    if bound is None:
+        bound = np.abs(matrix).sum(axis=1, dtype=np.float64).max(initial=0.0)
     bits = 62 - frexp(bound)[1]
     if bits < 1:
         half = matrix.shape[1] // 2
@@ -251,7 +297,9 @@ class IrrepDecomposition:
         table = _table(self.n)
         parts = partitions(self.n)
         mult = dict(self.terms)
-        values = _exact_products(table.T, [mult.get(mu, 0) for mu in parts])
+        values = _exact_products(
+            table.T, [mult.get(mu, 0) for mu in parts], _limb_bounds(self.n)[1]
+        )
         return ClassFunction(self.n, dict(zip(parts, values)))
 
     def tail_multiset(self) -> dict[Partition, int]:
@@ -276,14 +324,28 @@ class IrrepDecomposition:
         return " ".join(pieces)
 
 
+def _ratio(lam: Partition, value) -> tuple[int, int]:
+    """value's numerator and denominator as Python ints; a value that is not
+    a `numbers.Rational` (a float, say) is refused with TypeError."""
+    if not isinstance(value, Rational):
+        raise TypeError(
+            f"decompose needs rational values; the value at {lam} is "
+            f"{value!r} of class {type(value).__name__}"
+        )
+    return int(value.numerator), int(value.denominator)
+
+
 def decompose(f: ClassFunction, virtual: bool = False) -> IrrepDecomposition:
     """Write a rational class function as a sum of irreducibles.
 
     Multiplicities must come out integral, and nonnegative unless
     virtual=True allows formal differences of representations.  Each one
     is an exact dot product of the table row with the class-size-weighted
-    values, which may be of any size.  Degrees n > 32, whose tables do not
-    fit int64, are refused with ValueError before anything is built.
+    values, which may be of any size.  A value may be any
+    `numbers.Rational`: numpy integers decompose exactly like equal ints,
+    and a float is refused with TypeError before any product is formed.
+    Degrees n > 32, whose tables do not fit int64, are refused with
+    ValueError before anything is built.
 
     >>> from braidchar.characters import braid_character
     >>> str(decompose(braid_character(4, 1)))
@@ -292,15 +354,15 @@ def decompose(f: ClassFunction, virtual: bool = False) -> IrrepDecomposition:
     table = _table(f.n)
     parts = partitions(f.n)
     values = [f.values[lam] for lam in parts]
+    ratios = [(v, 1) if type(v) is int else _ratio(lam, v) for lam, v in zip(parts, values)]
     # clear denominators once, so each multiplicity is an integer dot product
-    scale = lcm(*(v.denominator for v in values))
+    scale = lcm(*(d for _, d in ratios))
     weighted = [
-        class_data(lam).class_size * v.numerator * (scale // v.denominator)
-        for lam, v in zip(parts, values)
+        class_data(lam).class_size * a * (scale // d) for lam, (a, d) in zip(parts, ratios)
     ]
     order = factorial(f.n) * scale
     terms = []
-    for mu, total in zip(parts, _exact_products(table, weighted)):
+    for mu, total in zip(parts, _exact_products(table, weighted, _limb_bounds(f.n)[0])):
         if total % order:
             raise ArithmeticError(
                 f"multiplicity of {mu} is not an integer: {Fraction(total, order)}; "

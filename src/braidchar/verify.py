@@ -40,7 +40,6 @@ from typing import Any, Callable, Iterable, Iterator
 from . import reference
 from .characters import (
     ClassFunction,
-    NoClosedFormError,
     _closed_form,
     a_character,
     b_character,
@@ -230,11 +229,9 @@ def _closed_form_cells(max_n: int) -> Iterator[Cell]:
         for k in range(n + 1):
             h = braid_character(n, k)
             for lam in partitions(n):
-                try:
-                    value = _closed_form(n, k, lam)
-                except NoClosedFormError:
-                    continue
-                yield (n, k, lam), value, h(lam)
+                value = _closed_form(n, k, lam)
+                if value is not None:
+                    yield (n, k, lam), value, h(lam)
 
 
 def _class_weighted_sum(n: int, row: Callable[[Partition], tuple[int, ...]]) -> list[int]:

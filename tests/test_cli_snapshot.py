@@ -7,8 +7,9 @@ benchmark goldens do not, such as ``oracle`` text and csv, ``cycle-poly
 --z``, ``measure --z`` and ``decompose`` text.  ``verify <suite> --format
 json`` is pinned too, at default limits and at ``--max-n 5``, with its
 ``elapsed`` line left out, and so is ``measure --z`` at n = 16, where the
-alpha vectors have many terms.  Re-record a digest only for a deliberate
-change of output.
+alpha vectors have many terms.  ``decompose`` text is pinned at its command
+limit as well, on the largest character table the CLI admits.  Re-record a
+digest only for a deliberate change of output.
 """
 
 import hashlib
@@ -19,6 +20,7 @@ import pytest
 from click.testing import CliRunner
 
 from braidchar.cli import main
+from braidchar.tables import COMMAND_LIMITS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 FORMATS = ("text", "csv", "json")
@@ -147,6 +149,22 @@ def test_measure_bytes_at_sixteen(command):
     res = CliRunner().invoke(main, command.split())
     assert res.exit_code == 0, res.output
     assert hashlib.sha256(res.stdout.encode()).hexdigest() == MEASURE_DIGESTS[command]
+
+
+LIMIT_DIGESTS = {
+    "decompose --n 24 --which a --k 12":
+        "6e9318404acbd830f5cf0df3b07e9a70b62f9be9287b1f8515b0e423213afb6b",
+    "decompose --n 24 --which b-diff --m 1000":
+        "8a229df9b40e2573d5869d4564f5bf49e12c59968199e93d4a4894609cb80c02",
+}
+
+
+@pytest.mark.parametrize("command", sorted(LIMIT_DIGESTS))
+def test_decompose_bytes_at_the_command_limit(command):
+    assert f"--n {COMMAND_LIMITS['decompose']} " in command
+    res = CliRunner().invoke(main, command.split())
+    assert res.exit_code == 0, res.output
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == LIMIT_DIGESTS[command]
 
 
 @pytest.mark.parametrize("command", sorted(VERIFY_DIGESTS))

@@ -371,6 +371,64 @@ def test_exact_products_past_int64_row_sums():
     assert got == [sum(x * w for x, w in zip(row, weights)) for row in rows]
 
 
+def test_decompose_with_every_limb_at_the_top_of_its_range():
+    # f = z_lam * u_lam has weights n! * u_lam and multiplicities
+    # sum_lam chi^mu(lam) u_lam.  n! * u is -2^v mod 2^K (v the 2-adic
+    # valuation of n!) on each class where the row with the largest positive
+    # part is positive, and 0 elsewhere, so every limb narrower than K bits
+    # is all ones there but for its low v bits: a limb even one bit wider
+    # than the row sums of |chi| allow wraps an int64 sum (n = 13 is such
+    # a degree for the bound of S_12)
+    n = 13
+    parts = partitions(n)
+    table = character_table(n)
+    row = max(table, key=lambda r: sum(x for x in r if x > 0))
+    order = factorial(n)
+    v = (order & -order).bit_length() - 1
+    k = 4 * 64
+    top = (-pow(order >> v, -1, 2 ** (k - v))) % 2 ** (k - v)
+    u = [top if x > 0 else 0 for x in row]
+    assert all(order * w % 2**k == (-(2**v)) % 2**k for w in u if w)
+    f = ClassFunction(
+        n, {lam: class_data(lam).centralizer_order * w for lam, w in zip(parts, u)}
+    )
+    expected = {}
+    for mu, r in zip(parts, table):
+        if m := sum(x * w for x, w in zip(r, u)):
+            expected[mu] = m
+    assert decompose(f, virtual=True).as_dict() == expected
+
+
+def test_limb_bounds_are_the_largest_absolute_row_and_column_sums():
+    # summed a slab of rows at a time: p(16) = 231 spans two slabs
+    for n in range(0, 17):
+        table = character_table(n)
+        rows = max(sum(abs(x) for x in row) for row in table)
+        columns = max(sum(abs(x) for x in column) for column in zip(*table))
+        assert specht._limb_bounds(n) == (rows, columns)
+
+
+def test_decompose_numpy_integer_values_like_ints():
+    h = braid_character(8, 3)
+    g = ClassFunction(8, {lam: np.int64(v) for lam, v in h.values.items()})
+    assert decompose(g).terms == decompose(h).terms
+    assert all(type(m) is int for _, m in decompose(g).terms)
+    one = ClassFunction.from_rule(3, lambda lam: np.int64(1))
+    assert decompose(one).as_dict() == {(3,): 1}
+
+
+def test_decompose_refuses_a_float_value_before_any_product(monkeypatch):
+    def no_products(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(specht, "_exact_products", no_products)
+    f = ClassFunction.from_rule(3, lambda lam: 1.0 if lam == (2, 1) else 1)
+    with pytest.raises(TypeError, match=re.escape(
+        "decompose needs rational values; the value at (2, 1) is 1.0 of class float"
+    )):
+        decompose(f)
+
+
 def test_decompose_fraction_valued_class_function():
     chi = a_character(5, 2)
     f = Fraction(1, 2) * (2 * chi)
