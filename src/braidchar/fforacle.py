@@ -74,7 +74,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .measures import measure_value
+from .measures import _splitting_measure
 from .partitions import Partition, centralizer_order, partitions
 from .ratpoly import necklace_polynomial, scaled_cycle_polynomial
 
@@ -1288,7 +1288,7 @@ def census_vs_theory(
         count = tally.counts[lam]
         ok = count == predicted
         if n >= 2:
-            ok = ok and measure_value(lam, p) * expected_total == count
+            ok = ok and _splitting_measure(lam).value(p) * expected_total == count
         rows.append(CensusRow(lam, count, predicted, ok))
     candidates = sum(hi - lo for lo, hi, _ in _orbit_slices(p, n))
     return CensusReport(

@@ -8,7 +8,12 @@ permutations whose cycle type is lambda.
 
 Partition lists are always produced in reverse lexicographic order
 ((4), (3,1), (2,2), (2,1,1), (1,1,1,1) for n = 4), and every table in this
-package uses that order.
+package uses that order.  In that order the partitions of n with first
+part f are f followed by the partitions of n - f with parts at most f, and
+those are a suffix of the partitions of n - f (the first-part recurrence,
+Andrews, The Theory of Partitions, 1976).  So each degree's list is built
+from its tails in the cached lists below it, one suffix per first part,
+and `_tail_start` says where each suffix begins.
 """
 
 from __future__ import annotations
@@ -48,21 +53,36 @@ def check_partition(parts: Iterable[int]) -> Partition:
 def partitions(n: int) -> tuple[Partition, ...]:
     """All partitions of n in reverse lexicographic order.
 
+    A partition of n is its first part f followed by a partition of n - f
+    with parts at most f, so for f = n down to 1 the list puts f in front
+    of each cached partition of n - f from index ``_tail_start(n - f, f)`` on.
+
     >>> partitions(4)
     ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return ((),)
+    return tuple(
+        (f,) + tail
+        for f in range(n, 0, -1)
+        for tail in partitions(n - f)[_tail_start(n - f, f) :]
+    )
 
-    def gen(remaining: int, largest: int):
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
 
-    return tuple(gen(n, n))
+@cache
+def _tail_start(m: int, f: int) -> int:
+    """The index in partitions(m) of its first partition with first part <= f.
+
+    In reverse lexicographic order those partitions are a suffix, preceded
+    by the ones whose first part g runs from m down to f + 1; there are
+    len(partitions(m - g)) - _tail_start(m - g, g) of those for each g.
+    """
+    if f >= m:
+        return 0
+    g = f + 1
+    return _tail_start(m, g) + len(partitions(m - g)) - _tail_start(m - g, g)
 
 
 def multiplicities(lam: Partition) -> dict[int, int]:

@@ -222,7 +222,10 @@ def scaled_cycle_polynomial(lam: Partition) -> tuple[int, ...]:
     parts, and the cache holds one entry per partition reached.  The
     largest parts go in last: each factor is one pass over the product so
     far, and the small parts, which bring the most factors, pass over it
-    while it is still short.
+    while it is still short.  The recursion peels a whole group, not one
+    part: peeling lam[1:] would recurse once per part, past Python's
+    recursion limit on the 800 ones of the `cycle-poly` limit, and cache
+    every tail, hundreds of big-integer polynomials.
 
     >>> scaled_cycle_polynomial((2, 1, 1))
     (0, 0, 1, -2, 1)

@@ -5,7 +5,9 @@ by the Murnaghan-Nakayama rule: chi^mu(lam) is the signed sum, over the
 border strips of length t = lam[0] in mu, of chi^(mu - strip)(lam[1:]),
 read from the table of S_(n-t).  Each partition is one uint64 bead mask,
 its beta set on n beads (James-Kerber, The Representation Theory of the
-Symmetric Group, 1981): removing a t-strip moves one bead from b down to
+Symmetric Group, 1981), and like the partitions themselves the masks of
+degree n are built from the cached masks of the degrees below, one array
+step per first part.  Removing a t-strip moves one bead from b down to
 an empty b - t, with the sign of the parity of the beads in between.  So
 the strips of every mu, of every length t = n..1, are found once per
 degree, by one array pass that shifts the masks by a column of lengths,
@@ -30,7 +32,6 @@ for the transpose, column) sum of |chi|, computed once per table.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -42,6 +43,7 @@ import numpy as np
 from .characters import ClassFunction
 from .partitions import (
     Partition,
+    _tail_start,
     check_partition,
     class_data,
     conjugate,
@@ -93,13 +95,21 @@ def _bead_masks(n: int) -> np.ndarray:
     (i = 0..n-1): the zero parts fill the bits below n - len(mu), and the
     highest bead is at most 2n - 1, so n <= 32 fits 64 bits.  A larger
     partition in reverse lexicographic order has the larger mask, so the
-    array is strictly decreasing.
+    array is strictly decreasing.  mu = (f,) + tail has its first bead at
+    f + n - 1, the n - f beads of tail shifted up by f - 1, and the f - 1
+    beads of its last zero parts below them; so each first part f is one
+    array step on the suffix of the degree n - f masks that partitions(n)
+    reads its tails from.
     """
-    masks = [
-        sum(1 << (p + n - 1 - i) for i, p in enumerate(mu)) | (1 << (n - len(mu))) - 1
-        for mu in partitions(n)
-    ]
-    return np.array(masks, np.uint64)
+    if n == 0:
+        return np.zeros(1, np.uint64)
+    one = np.uint64(1)
+    blocks = []
+    for f in range(n, 0, -1):
+        shift = np.uint64(f - 1)
+        tails = _bead_masks(n - f)[_tail_start(n - f, f) :]
+        blocks.append(tails << shift | one << np.uint64(f + n - 1) | (one << shift) - one)
+    return np.concatenate(blocks)
 
 
 def _parity(x: np.ndarray) -> np.ndarray:
@@ -160,16 +170,16 @@ def _table(n: int) -> np.ndarray:
     table = np.zeros((len(parts), len(parts)), np.int64)
     # The columns lam with lam[0] = t form one block, for t = n down to 1.
     # Across a block lam[1:] runs, in order, over the partitions of n - t
-    # with first part at most t: the last `width` rows of the n - t table.
-    widths = Counter(lam[0] for lam in parts)
+    # with first part at most t: the n - t table's columns from `start` on.
     col = 0
     for i, t in enumerate(range(n, 0, -1)):
         lo, hi = bounds[i : i + 2]
         first, last = runs[i : i + 2]
-        width = widths[t]
         smaller = _table(n - t)
+        start = _tail_start(n - t, t)
+        width = len(smaller) - start
         sources = len(smaller) - 1 - np.searchsorted(_bead_masks(n - t)[::-1], moved[lo:hi])
-        tails = smaller[sources, len(smaller) - width :]  # a gathered copy, signed in place
+        tails = smaller[sources, start:]  # a gathered copy, signed in place
         tails *= signs[lo:hi, None]
         table[heads[first:last], col : col + width] = np.add.reduceat(
             tails, starts[first:last] - lo

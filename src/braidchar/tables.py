@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .characters import a_character, braid_character
@@ -61,6 +61,44 @@ def terms_json(dec: IrrepDecomposition) -> list[dict]:
     ]
 
 
+#: The writer of each JSON scalar type, as json.dumps writes it.
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json(obj: Any, indent: str = "") -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it, byte for byte.
+
+    json.dumps with an indent runs the pure-Python encoder; this writer does
+    the same walk with one type lookup per value.  It writes what the
+    commands' payloads hold: dicts with str keys, lists and tuples, and str,
+    int, finite float, bool and None values.  Any other type, a non-str key
+    included, raises TypeError.
+    """
+    write = _JSON_SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        items = [_json(item, inner) for item in obj]
+        brackets = "[]"
+    elif isinstance(obj, dict):
+        items = [
+            f"{encode_basestring_ascii(key)}: {_json(value, inner)}" for key, value in obj.items()
+        ]
+        brackets = "{}"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def render(
     fmt: str, header: list[str], rows: list[list], payload: Any, title: str | None = None
 ) -> str:
@@ -69,7 +107,7 @@ def render(
     Text starts with ``# title`` when a title is given.
     """
     if fmt == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         csv.writer(buf, lineterminator="\n").writerows([header, *rows])

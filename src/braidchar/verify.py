@@ -48,7 +48,7 @@ from .characters import (
     sign_twisted_sum,
 )
 from .fforacle import census_vs_theory
-from .measures import _splitting_measure, measure_value, splitting_coefficients
+from .measures import _splitting_measure
 from .partitions import Partition, class_data, divisors, format_partition, partitions
 from .ratpoly import RatPoly, Z, necklace_polynomial, scaled_cycle_polynomial
 from .specht import decompose
@@ -179,7 +179,7 @@ def _suite_tables(limits: VerifyLimits) -> Iterator[Check]:
             lam: (
                 class_data(lam).class_size,
                 class_data(lam).centralizer_order,
-                splitting_coefficients(lam).scaled,
+                _splitting_measure(lam).scaled,
             )
             for lam in partitions(n)
         }
@@ -346,7 +346,7 @@ def _suite_regular(limits: VerifyLimits) -> Iterator[Check]:
     )
     yield _compare(
         f"measure at z=-1 is 1/2 on identity and transpositions, n<={top}",
-        (((n, lam), measure_value(lam, Fraction(-1)),
+        (((n, lam), _splitting_measure(lam).value(Fraction(-1)),
           Fraction(1, 2) if lam in special else Fraction(0))
          for n in range(2, top + 1) for special in [_special(n)]
          for lam in partitions(n)),
@@ -433,7 +433,7 @@ def _decomposes(f: ClassFunction, virtual: bool) -> str:
 def _rescaled_measure(n: int, z: Fraction) -> ClassFunction:
     """lam -> n! times the measure of one permutation of cycle type lam."""
     return ClassFunction.from_rule(
-        n, lambda lam: factorial(n) * measure_value(lam, z, per_element=True)
+        n, lambda lam: factorial(n) * _splitting_measure(lam).value(z, per_element=True)
     )
 
 

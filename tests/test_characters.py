@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 
 import braidchar
-from braidchar import characters, measures, reference, specht, tables, verify
+from braidchar import characters, fforacle, measures, reference, specht, tables, verify
 from braidchar.characters import (
     ClassFunction,
     NoClosedFormError,
@@ -347,6 +347,11 @@ def test_partitions_are_validated_where_input_enters(monkeypatch):
     tables.measures_table(12)
     assert decompose(a_character(12, 2)).dimension == a_character(12, 2).dimension
     assert verify.run_suite("identities").passed
+    # the sweeps over partitions(n) that read measure values read the core too
+    small = verify.VerifyLimits(max_n=6, max_n_class=6)
+    for suite in ("tables", "regular-rep", "theorems"):
+        assert verify.run_suite(suite, small).passed
+    assert fforacle.census_vs_theory(3, 4).all_ok
     assert checked == []
     # every public entry point still refuses a bad partition, with the same message
     entries = [

@@ -56,8 +56,19 @@ def test_enumeration_counts_match_recurrence():
     assert len(partitions(9)) == 30
 
 
+# p(n) for n = 0..32 (OEIS A000041)
+PARTITION_COUNTS = (
+    1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385,
+    490, 627, 792, 1002, 1255, 1575, 1958, 2436, 3010, 3718, 4565, 5604, 6842, 8349,
+)
+
+
+def test_partition_counts_frozen_up_to_32():
+    assert tuple(len(partitions(n)) for n in range(33)) == PARTITION_COUNTS
+
+
 def test_enumeration_is_reverse_lex_and_valid():
-    for n in range(1, 11):
+    for n in range(1, 21):
         parts = partitions(n)
         assert parts[0] == (n,)
         assert parts[-1] == (1,) * n

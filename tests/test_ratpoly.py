@@ -18,6 +18,7 @@ from braidchar.ratpoly import (
     poly_binomial,
     scaled_cycle_polynomial,
 )
+from braidchar.tables import COMMAND_LIMITS
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -148,6 +149,17 @@ def test_scaled_cycle_polynomial_matches_binomial_product():
         scaled = scaled_cycle_polynomial(lam)
         assert all(type(c) is int for c in scaled), lam
         assert scaled == expected.coeffs, lam
+
+
+def test_scaled_cycle_polynomial_at_the_cycle_poly_limit():
+    """1^800 is z(z - 1)...(z - 799), reached in one group: no recursion per part."""
+    n = COMMAND_LIMITS["cycle-poly"]
+    scaled_cycle_polynomial.cache_clear()
+    scaled = scaled_cycle_polynomial((1,) * n)
+    assert scaled_cycle_polynomial.cache_info().currsize == 2  # 1^800 and ()
+    assert len(scaled) == n + 1
+    assert scaled[0] == 0 and scaled[n] == 1
+    assert scaled[1] == (-1) ** (n - 1) * factorial(n - 1)
 
 
 @pytest.mark.parametrize("j", range(1, 7))

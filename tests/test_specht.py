@@ -138,6 +138,18 @@ def test_bead_masks_fit_uint64_up_to_the_degree_bound(monkeypatch):
     assert int(masks[0]) == (1 << 63) | ((1 << 31) - 1)  # (32): one bead at 63
 
 
+def _per_partition_bead_mask(mu, n):
+    # frozen copy of the per-partition formula the masks were first built by
+    return sum(1 << (p + n - 1 - i) for i, p in enumerate(mu)) | (1 << (n - len(mu))) - 1
+
+
+def test_bead_masks_match_the_per_partition_formula():
+    for n in range(33):
+        masks = specht._bead_masks(n)
+        assert masks.dtype == np.uint64
+        assert masks.tolist() == [_per_partition_bead_mask(mu, n) for mu in partitions(n)], n
+
+
 def test_degree_past_int64_refused_before_anything_is_built(monkeypatch):
     def no_table(n):
         raise AssertionError(f"a table was built (bead masks of degree {n})")

@@ -16,7 +16,14 @@ from click.testing import CliRunner
 from braidchar import fforacle, reference
 from braidchar.cli import main
 from braidchar.partitions import parse_partition
-from braidchar.tables import COMMAND_LIMITS, FORMATS, TABLE_LIMITS, TABLE_NAMES, emit_table
+from braidchar.tables import (
+    COMMAND_LIMITS,
+    FORMATS,
+    TABLE_LIMITS,
+    TABLE_NAMES,
+    emit_table,
+    render,
+)
 from braidchar.verify import SUITE_NAMES
 
 
@@ -104,6 +111,37 @@ def test_emitter_range_errors():
         emit_table("nonesuch", 4)
     with pytest.raises(ValueError):
         emit_table("betti", 5, "yaml")
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [],
+        {"rows": [], "terms": {}, "nested": [[], [{}], {"a": []}]},
+        ["Möbius μ(d) — ∑", "tab\tquote\"slash\\", "\u0000\x7f"],
+        [True, False, None, {"flag": True, "none": None}],
+        [2**64, -(3**100), 0, -1, 10**400],
+        (1, (2, [3, (4,)])),
+        {"elapsed": 0.1 + 0.2, "tiny": 5e-324, "huge": 1.7976931348623157e308, "zero": -0.0},
+    ],
+)
+def test_json_render_is_the_bytes_of_json_dumps(payload):
+    assert render("json", [], [], payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_verify_output_is_the_bytes_of_json_dumps():
+    # the one float the commands write, verify's elapsed, read back and re-dumped
+    result = run_cli("verify", "stability", "--format", "json")
+    payload = json.loads(result.output)
+    assert isinstance(payload["elapsed"], float)
+    assert result.output == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [{"value": Fraction(1, 3)}, [{1, 2}], {1: "int key"}])
+def test_json_render_refuses_a_type_the_payloads_never_hold(payload):
+    with pytest.raises(TypeError):
+        render("json", [], [], payload)
 
 
 def test_text_format_has_header_note():

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -170,9 +171,9 @@ def test_stability_decomposes_nothing_above_the_cap(monkeypatch):
 
 def test_measure_tables_compute_nothing_above_the_cap(monkeypatch):
     seen = []
-    coefficients = verify.splitting_coefficients
+    measure = verify._splitting_measure
     monkeypatch.setattr(
-        verify, "splitting_coefficients", lambda lam: seen.append(sum(lam)) or coefficients(lam)
+        verify, "_splitting_measure", lambda lam: seen.append(sum(lam)) or measure(lam)
     )
     for cap, statuses in ((3, ["SKIP", "SKIP"]), (4, ["PASS", "SKIP"]), (5, ["PASS", "PASS"])):
         seen.clear()
@@ -294,12 +295,15 @@ def test_theorems_suite_fails_on_a_wrong_character(monkeypatch):
 
 
 def test_theorems_suite_reports_a_non_integral_multiplicity(monkeypatch):
-    real = verify.measure_value
-    monkeypatch.setattr(
-        verify,
-        "measure_value",
-        lambda lam, z, per_element: real(lam, z, per_element) + Fraction(1, 1000),
-    )
+    real = verify._splitting_measure
+
+    def shifted(lam):
+        value = real(lam).value
+        return SimpleNamespace(
+            value=lambda z, per_element=False: value(z, per_element) + Fraction(1, 1000)
+        )
+
+    monkeypatch.setattr(verify, "_splitting_measure", shifted)
     report = run_suite("theorems", SMALL)
     assert [c.status for c in report.checks] == ["FAIL", "FAIL"]
     assert "not an integer" in report.checks[1].details
