@@ -32,6 +32,7 @@ from typing import Callable, Mapping
 
 from .partitions import (
     Partition,
+    _position,
     check_partition,
     class_data,
     moebius,
@@ -46,12 +47,6 @@ class NoClosedFormError(ValueError):
     """Raised when no closed form covers the requested character value."""
 
 
-@cache
-def _classes(n: int) -> frozenset[Partition]:
-    """The partitions of n as one set, the keys every class function on S_n has."""
-    return frozenset(partitions(n))
-
-
 @dataclass(frozen=True)
 class ClassFunction:
     """A function on the conjugacy classes of S_n, stored per cycle type."""
@@ -60,7 +55,7 @@ class ClassFunction:
     values: Mapping[Partition, Fraction] = field(compare=True)
 
     def __post_init__(self):
-        if self.values.keys() != _classes(self.n):
+        if self.values.keys() != _position(self.n).keys():
             raise ValueError(f"values must cover all partitions of {self.n}")
 
     def __call__(self, lam: Partition) -> Fraction:

@@ -109,7 +109,10 @@ def _candidates(p: int, n: int, budget: int, what: str) -> int:
     Callers run this before the primality test.  When p**n would have over
     four times the budget's bits it is refused unformed: then
     p**n >= 2**(bits(p) n / 2) > budget**2, and forming it can take seconds.
+    A budget below 1 admits nothing and is refused first, with ValueError.
     """
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     if p.bit_length() > 1 and p.bit_length() * n > 4 * budget.bit_length():
         raise BudgetError(what, None, budget)
     required = p**n
@@ -1055,18 +1058,12 @@ class _PackedTables(_Kernel):
 
 
 @lru_cache(maxsize=None)
-def _packed_tables(p: int, n: int) -> _PackedTables:
-    return _PackedTables(p, n, _narrow_lanes(p, n))
-
-
-@lru_cache(maxsize=None)
-def _small_field_kernel(p: int, n: int) -> _Kernel:
-    _narrow_lanes(p, n)  # refuses the cells too wide for the words
-    return _Halves(n) if p == 2 else _Planes(n)
-
-
 def _kernel(p: int, n: int) -> _Kernel:
-    return _small_field_kernel(p, n) if p <= 3 else _packed_tables(p, n)
+    """The gcd kernel of degree n over F_p: F_2 halves, F_3 planes, else lanes."""
+    narrow = _narrow_lanes(p, n)  # refuses the cells too wide for the words
+    if p <= 3:
+        return _Halves(n) if p == 2 else _Planes(n)
+    return _PackedTables(p, n, narrow)
 
 
 def _order(a: list, b: list, ta: np.ndarray, tb: np.ndarray, d: np.ndarray, mask: np.ndarray) -> None:

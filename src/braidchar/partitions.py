@@ -72,6 +72,13 @@ def partitions(n: int) -> tuple[Partition, ...]:
 
 
 @cache
+def _position(n: int) -> dict[Partition, int]:
+    """The index of each partition of n in partitions(n), the one index every
+    table and class function on S_n reads."""
+    return {lam: i for i, lam in enumerate(partitions(n))}
+
+
+@cache
 def _tail_start(m: int, f: int) -> int:
     """The index in partitions(m) of its first partition with first part <= f.
 

@@ -26,8 +26,11 @@ per partition.  A rational class function is decomposed into irreducibles
 by exact dot products of its class-size-weighted values with the table
 rows: the Python-int weights are cut into limbs narrow enough that no int64
 sum can wrap, each limb goes through the int64 table, and the limbs are
-recombined in Python ints.  The limb width is set by the largest row (or,
-for the transpose, column) sum of |chi|, computed once per table.
+recombined in Python ints.  The limb width comes from class data alone:
+column orthogonality, sum_nu chi^nu(lam)^2 = z_lam (James-Kerber), bounds
+each |chi^mu(lam)| by isqrt(z_lam), so every row sum of |chi| is at most
+the sum of isqrt(z_lam) over the classes, an exact int below 2^59 for
+every n <= 32, cached once per n.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import factorial, frexp, lcm
+from math import factorial, isqrt, lcm
 from numbers import Rational
 
 import numpy as np
@@ -43,6 +46,7 @@ import numpy as np
 from .characters import ClassFunction
 from .partitions import (
     Partition,
+    _position,
     _tail_start,
     check_partition,
     class_data,
@@ -80,11 +84,6 @@ def _irrep_dimension(mu: Partition) -> int:
 
 #: Largest degree whose Murnaghan-Nakayama partial sums fit int64.
 _MAX_DEGREE = 32
-
-
-@cache
-def _position(n: int) -> dict[Partition, int]:
-    return {lam: i for i, lam in enumerate(partitions(n))}
 
 
 @cache
@@ -188,51 +187,29 @@ def _table(n: int) -> np.ndarray:
     return table
 
 
-#: Rows of the table whose |values| are summed at a time by `_limb_bounds`.
-_SLAB = 128
-
-
 @cache
-def _limb_bounds(n: int) -> tuple[float, float]:
-    """The largest row sum and the largest column sum of |chi| over S_n.
+def _row_bound(n: int) -> int:
+    """An upper bound on every row sum of |chi| over S_n, from class data alone.
 
-    They set the limb width of `_exact_products` for the table (decompose)
-    and its transpose (`IrrepDecomposition.as_class_function`), so they are
-    summed once per table, in float64, a slab of rows at a time: no
-    temporary as large as the table is made.
+    By column orthogonality every |chi^mu(lam)| is at most isqrt(z_lam), so
+    the sum of isqrt(z_lam) over the classes lam bounds each row sum.  It
+    is below 2^59 for every n <= 32 (2^58.92 at n = 32), the degrees whose
+    tables are built, so `_exact_products` keeps limbs of at least 3 bits.
     """
-    table = _table(n)
-    rows = []
-    columns = np.zeros(len(table))
-    for lo in range(0, len(table), _SLAB):
-        slab = np.abs(table[lo : lo + _SLAB])
-        rows.append(slab.sum(axis=1, dtype=np.float64).max())
-        columns += slab.sum(axis=0, dtype=np.float64)
-    return float(max(rows)), float(columns.max())
+    return sum(isqrt(class_data(lam).centralizer_order) for lam in partitions(n))
 
 
-def _exact_products(
-    matrix: np.ndarray, weights: list[int], bound: float | None = None
-) -> list[int]:
+def _exact_products(matrix: np.ndarray, weights: list[int], bound: int) -> list[int]:
     """matrix @ weights in Python ints, for an int64 matrix and int weights.
 
     Each weight is cut into limbs of `bits` bits, two's complement: the
     low limbs lie in [0, 2^bits) and the top one, which carries the sign,
     in [-2^bits, 2^bits).  All the limbs go through one int64 matrix
-    product.  With S the largest row sum of |matrix| (`bound`, summed here
-    when not given), S * 2^bits < 2^63, so no int64 sum can wrap: S is
-    summed in float64, within a factor 1 + 2^-38 of exact, and bits leaves
-    one bit for that.  A matrix whose row sums leave no bit at all is
-    summed in two halves of its columns.
+    product.  `bound` is at least the largest row sum of |matrix|, and
+    bits = 62 - bound.bit_length(), so bound * 2^bits < 2^62 and no int64
+    sum can wrap.
     """
-    if bound is None:
-        bound = np.abs(matrix).sum(axis=1, dtype=np.float64).max(initial=0.0)
-    bits = 62 - frexp(bound)[1]
-    if bits < 1:
-        half = matrix.shape[1] // 2
-        left = _exact_products(matrix[:, :half], weights[:half])
-        right = _exact_products(matrix[:, half:], weights[half:])
-        return [a + b for a, b in zip(left, right)]
+    bits = 62 - bound.bit_length()
     mask = (1 << bits) - 1
     top = max(abs(w) for w in weights).bit_length() // bits * bits
     limbs = [[w >> s & mask for w in weights] for s in range(0, top, bits)]
@@ -304,13 +281,13 @@ class IrrepDecomposition:
         return dict(self.terms)
 
     def as_class_function(self) -> ClassFunction:
+        """The sum of multiplicity times table row, in Python ints."""
         table = _table(self.n)
-        parts = partitions(self.n)
-        mult = dict(self.terms)
-        values = _exact_products(
-            table.T, [mult.get(mu, 0) for mu in parts], _limb_bounds(self.n)[1]
-        )
-        return ClassFunction(self.n, dict(zip(parts, values)))
+        position = _position(self.n)
+        values = [0] * len(table)
+        for mu, m in self.terms:
+            values = [v + m * x for v, x in zip(values, table[position[mu]].tolist())]
+        return ClassFunction(self.n, dict(zip(partitions(self.n), values)))
 
     def tail_multiset(self) -> dict[Partition, int]:
         """Multiplicities keyed by the label with its first part dropped.
@@ -336,7 +313,7 @@ class IrrepDecomposition:
 
 def _ratio(lam: Partition, value) -> tuple[int, int]:
     """value's numerator and denominator as Python ints; a value that is not
-    a `numbers.Rational` (a float, say) is refused with TypeError."""
+    a `numbers.Rational` is refused with TypeError."""
     if not isinstance(value, Rational):
         raise TypeError(
             f"decompose needs rational values; the value at {lam} is "
@@ -353,7 +330,7 @@ def decompose(f: ClassFunction, virtual: bool = False) -> IrrepDecomposition:
     is an exact dot product of the table row with the class-size-weighted
     values, which may be of any size.  A value may be any
     `numbers.Rational`: numpy integers decompose exactly like equal ints,
-    and a float is refused with TypeError before any product is formed.
+    and any other value is refused with TypeError before any product is formed.
     Degrees n > 32, whose tables do not fit int64, are refused with
     ValueError before anything is built.
 
@@ -372,7 +349,7 @@ def decompose(f: ClassFunction, virtual: bool = False) -> IrrepDecomposition:
     ]
     order = factorial(f.n) * scale
     terms = []
-    for mu, total in zip(parts, _exact_products(table, weighted, _limb_bounds(f.n)[0])):
+    for mu, total in zip(parts, _exact_products(table, weighted, _row_bound(f.n))):
         if total % order:
             raise ArithmeticError(
                 f"multiplicity of {mu} is not an integer: {Fraction(total, order)}; "

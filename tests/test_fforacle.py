@@ -3,6 +3,7 @@
 import functools
 import math
 import random
+import re
 import sys
 import threading
 
@@ -331,18 +332,17 @@ def test_packed_f2_gcd_matches_both_kernels():
 
 @pytest.mark.parametrize("p, top", [(3, 6), (5, 4), (7, 3), (11, 3), (13, 2)])
 def test_packed_gcd_matches_both_kernels(p, top, monkeypatch):
-    # every code on the wide lanes these cells run, and on narrow lanes,
-    # forced; p = 2 is test_packed_f2_gcd_matches_both_kernels.  p = 3 runs
-    # the plane kernel, which the patch does not reach, so it is checked twice
+    # every code on the kernel these cells run, and on narrow lanes, forced:
+    # the patch reaches p = 3 too, which runs the plane kernel unpatched, so
+    # lanes are checked on F_3 as well; p = 2 is
+    # test_packed_f2_gcd_matches_both_kernels
     for n in range(1, top + 1):
         assert not _narrow_lanes(p, n)
         codes = np.arange(p**n, dtype=np.int64)
         expected = scalar_gcd_degrees(p, n)
         assert _packed_gcd_degree(p, n, codes).tolist() == expected, n
         with monkeypatch.context() as patch:
-            patch.setattr(
-                fforacle, "_packed_tables", lambda p, n: _PackedTables(p, n, narrow=True)
-            )
+            patch.setattr(fforacle, "_kernel", lambda p, n: _PackedTables(p, n, narrow=True))
             assert _packed_gcd_degree(p, n, codes).tolist() == expected, n
 
 
@@ -737,6 +737,21 @@ def test_budget_refusal_carries_requirement():
     assert info.value.required == 2**21
     assert info.value.budget == 10**6
     assert isinstance(info.value, ValueError)
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_is_refused_first(budget):
+    message = re.escape(f"budget must be at least 1, got {budget}")
+    for run in (
+        lambda: factor_type_census(2, 3, budget=budget),
+        lambda: census_vs_theory(2, 3, budget=budget),
+        lambda: enumerate_irreducibles(2, 3, budget=budget),
+        # before the primality test and the size of p**n
+        lambda: factor_type_census(4, 10**8, budget=budget),
+    ):
+        with pytest.raises(ValueError, match=message) as info:
+            run()
+        assert type(info.value) is ValueError
 
 
 def test_bad_inputs_rejected():

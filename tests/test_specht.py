@@ -370,16 +370,21 @@ def test_as_class_function_with_huge_multiplicities():
     assert decompose(f, virtual=True) == dec
 
 
-def test_exact_products_past_int64_row_sums():
-    # row sums of |matrix| near 2^63 leave no limb bit, so the columns are
-    # summed in halves (the transposed table of S_31 and S_32 is such a case)
+def test_exact_products_on_the_narrowest_limbs():
+    # a bound just under 2^59, the largest `_row_bound` of a table that is
+    # built, leaves limbs of 3 bits: weights near 10^30 take 34 of them.
+    # The low 20 bits of each weight are ones, so its lowest limb is all
+    # ones, and on the positive first row a limb 2 bits wider wraps int64
     rng = random.Random(5)
-    rows = [
-        [rng.choice((-1, 1)) * rng.randrange(2**59, 2**60) for _ in range(9)]
-        for _ in range(4)
+    rows = [[rng.randrange(2**59 // 10, 2**59 // 9) for _ in range(9)]]
+    rows += [
+        [rng.choice((-1, 1)) * rng.randrange(2**59 // 10, 2**59 // 9) for _ in range(9)]
+        for _ in range(3)
     ]
-    weights = [rng.randrange(-(10**30), 10**30) for _ in range(9)]
-    got = specht._exact_products(np.array(rows, np.int64), weights)
+    bound = max(sum(abs(x) for x in row) for row in rows)
+    assert 2**58 < bound < 2**59
+    weights = [(10**30 + rng.randrange(10**20)) | (2**20 - 1) for _ in range(9)]
+    got = specht._exact_products(np.array(rows, np.int64), weights, bound)
     assert got == [sum(x * w for x, w in zip(row, weights)) for row in rows]
 
 
@@ -411,13 +416,20 @@ def test_decompose_with_every_limb_at_the_top_of_its_range():
     assert decompose(f, virtual=True).as_dict() == expected
 
 
-def test_limb_bounds_are_the_largest_absolute_row_and_column_sums():
-    # summed a slab of rows at a time: p(16) = 231 spans two slabs
+def test_row_bound_bounds_every_absolute_row_sum(monkeypatch):
+    # column orthogonality bounds each |chi^mu(lam)| by isqrt(z_lam)
     for n in range(0, 17):
-        table = character_table(n)
-        rows = max(sum(abs(x) for x in row) for row in table)
-        columns = max(sum(abs(x) for x in column) for column in zip(*table))
-        assert specht._limb_bounds(n) == (rows, columns)
+        rows = max(sum(abs(x) for x in row) for row in character_table(n))
+        assert rows <= specht._row_bound(n), n
+
+    def no_table(n):
+        raise AssertionError(f"the table of S_{n} was built")
+
+    # every degree with a table keeps limbs of at least 3 bits, and the bound
+    # is summed from class data alone, past the cache
+    monkeypatch.setattr(specht, "_table", no_table)
+    for n in range(0, 33):
+        assert specht._row_bound.__wrapped__(n) < 2**59, n
 
 
 def test_decompose_numpy_integer_values_like_ints():

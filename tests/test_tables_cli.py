@@ -360,6 +360,13 @@ def test_cli_oracle_refuses_a_cell_wider_than_a_word():
     assert "needs 68 bits" in res.output and "more than the 64 of a word" in res.output
 
 
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_cli_oracle_refuses_a_budget_below_one(budget):
+    res = run_cli("oracle", "--p", "2", "--n", "3", "--budget", budget)
+    assert res.exit_code == 2
+    assert f"budget must be at least 1, got {budget}" in res.output
+
+
 def test_cli_verify_workers_needs_a_census():
     res = run_cli("verify", "tables", "--workers", "1")
     assert res.exit_code == 2
