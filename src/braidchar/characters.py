@@ -242,7 +242,10 @@ def closed_form_h_top(n: int, lam: Partition) -> int:
 def closed_form_h_subtop(n: int, lam: Partition) -> int:
     """h_n^(n-2), supported on cycle types with at most two distinct part sizes.
 
-    On a rectangle (j^m) the value involves an exact harmonic number:
+    On two part sizes, lam = (i^a j^b), it is the product of the top values
+    of the two rectangles, closed_form_h_top at (i^a) and at (j^b); the
+    signs' parities add up to that of a + b - n.  On a rectangle (j^m) the
+    value involves an exact harmonic number:
 
         (-1)^(m-n) (m-1)! (mu(j)^2 H_{m-1} j^(m-2) - mu(j/2) j^(m-1)),
 
@@ -252,13 +255,8 @@ def closed_form_h_subtop(n: int, lam: Partition) -> int:
     if len(m) > 2:
         return 0
     if len(m) == 2:
-        (i, mi), (j, mj) = sorted(m.items())
-        sign = -1 if (mi + mj - n) % 2 else 1
-        return (
-            sign
-            * (moebius(i) * i ** (mi - 1) * factorial(mi - 1))
-            * (moebius(j) * j ** (mj - 1) * factorial(mj - 1))
-        )
+        (i, a), (j, b) = m.items()
+        return closed_form_h_top(i * a, (i,) * a) * closed_form_h_top(j * b, (j,) * b)
     (j, mj), = m.items()
     sign = -1 if (mj - n) % 2 else 1
     val = factorial(mj - 1) * (

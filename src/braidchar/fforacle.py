@@ -24,10 +24,11 @@ Two census engines produce identical tallies:
   and why): every orbit meets exactly one section, in one H-orbit, so the
   weighted counts are exact and the weights times the section sizes sum
   to p^n.  On the sections it runs the gcd batched over blocks, and
-  replaces trial division by a factor sieve (see _sieve) that counts each
-  code's distinct irreducible factors of each degree <= n/2 and flags its
-  repeated ones; whole tables are sieved only for degrees <= n/2.  Fixing
-  a product's top digits fixes its cofactor's, so the sieve's cost follows
+  replaces trial division by a factor sieve (see _sieve), in one mode,
+  that counts each code's distinct irreducible factors of each degree
+  <= n/2 and flags its repeated ones; whole tables, for their key-0 codes,
+  the irreducibles, are sieved only for degrees <= n/2.  Fixing a
+  product's top digits fixes its cofactor's, so the sieve's cost follows
   the codes it writes.
 
 The vectorized engine always cross-checks every enumerated code's gcd
@@ -52,13 +53,13 @@ count), never more than it has gcd blocks; numpy releases the interpreter
 lock in the loops that do the work.  The gcd kernel's tables are built
 first, on the calling thread.  The factor sieve, with its decode, is then
 the first task of the pool, beside the gcd blocks, none of which reads it.
-A block is a run of up to _BLOCK // w codes of the sections in order, w
-the number of threads, so a small cell is one block however many sections
-it has; each writes its square-free verdicts into its own part of one
-array indexed by code, which the calling thread cross-checks and counts,
-section by section, once the pool is done.  With one thread, or one
-block, all of it runs on the calling thread.  About _BLOCK rows are in
-flight at any time, whatever the number of threads.
+A block is runs (lo, hi) of up to _BLOCK // w codes of the sections in
+order, w the number of threads, so a small cell is one block however many
+sections it has; each writes its square-free verdicts at its own codes of
+one array indexed by code, which the calling thread cross-checks and
+counts, section by section, once the pool is done.  With one thread, or
+one block, all of it runs on the calling thread.  About _BLOCK rows are
+in flight at any time, whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -716,13 +717,13 @@ def _factor_key(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _sieve(
-    p: int, d: int, slices: Sequence[tuple[int, int, int]], squares: bool
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    p: int, d: int, slices: Sequence[tuple[int, int, int]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(key, ftype, repeated) of each degree-d code in the slices, indexed by
-    code up to the last slice's end: its factor key and, with ``squares``
-    (else None), its type as an index into partitions(d) where it has no
-    repeated factor, and its repeated-factor flag.  The slices (lo, hi,
-    weight) are disjoint prefix classes.
+    code up to the last slice's end: its factor key, its type as an index
+    into partitions(d) where it has no repeated factor, and its
+    repeated-factor flag.  The slices (lo, hi, weight) are disjoint prefix
+    classes.
 
     For every e <= d/2, all irreducibles g of degree e together (see
     _multiples):
@@ -739,23 +740,20 @@ def _sieve(
     The irreducibles of each slice, times its weight, must sum to M_d(p).
     A square-free code has at most one factor above d/2, so its key is its
     type's; keys are decoded in runs of _BATCH codes, and one that is no
-    type's raises RuntimeError.
+    type's raises RuntimeError, in the census and in its cached tables alike.
     """
     radix, type_keys, types = _factor_key(d)
     size = slices[-1][1]
     key = np.zeros(size, radix.dtype)
-    repeated = np.zeros(size, bool) if squares else None
+    repeated = np.zeros(size, bool)
     for e in range(1, d // 2 + 1):
         g = _monic_rows(p, e, _irreducible_codes(p, e))
         for codes, _, _ in _multiples(p, d, g, slices):
             np.add.at(key, codes, radix[e])
-        if squares:
-            for codes, _, _ in _multiples(p, d, _convolve(g, g, p), slices):
-                repeated[codes] = True
+        for codes, _, _ in _multiples(p, d, _convolve(g, g, p), slices):
+            repeated[codes] = True
     irreducible = sum(w * (hi - lo - np.count_nonzero(key[lo:hi])) for lo, hi, w in slices)
     _check_irreducible_count(p, d, irreducible)
-    if not squares:
-        return key, None, None
     ftype = np.zeros(size, types.dtype)
     for lo, hi, _ in slices:
         for start in range(lo, hi, _BATCH):
@@ -771,8 +769,8 @@ def _sieve(
 
 @lru_cache(maxsize=None)
 def _irreducible_codes(p: int, d: int) -> np.ndarray:
-    """The irreducible degree-d codes; a census of degree n reads d <= n/2 only."""
-    return np.flatnonzero(_sieve(p, d, ((0, p**d, 1),), squares=False)[0] == 0)
+    """The irreducible degree-d codes, of key 0; a census of degree n reads d <= n/2 only."""
+    return np.flatnonzero(_sieve(p, d, ((0, p**d, 1),))[0] == 0)
 
 
 # Gcd kernels: Euclid on a block of codes at once (see _Kernel).
@@ -832,8 +830,7 @@ class _Kernel:
         self._place(self.top, n, dtype(1))
         self.pieces = []
         if self.base <= _PIECE:
-            digit_rows = np.empty((digits, self.base), dtype)
-            _write_digits(p, np.arange(self.base), digit_rows)
+            digit_rows = _digit_table(p, digits).astype(dtype)
             for lo in range(0, n, digits):
                 table = np.zeros((self.base, self.parts), dtype)
                 for i, digit in enumerate(digit_rows[: n - lo], lo):
@@ -1167,9 +1164,8 @@ def _census_vector(
     slices = _orbit_slices(p, n)
     threads = workers or os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
-    # blocks as in the module docstring; a run (lo, hi, at) is the codes
-    # [lo, hi) at row ``at`` of its block
-    blocks: list[list[tuple[int, int, int]]] = []
+    # blocks as in the module docstring, each a list of runs (lo, hi), the codes [lo, hi)
+    blocks: list[list[tuple[int, int]]] = []
     room = 0
     for lo, hi, _ in slices:
         while lo < hi:
@@ -1177,26 +1173,21 @@ def _census_vector(
                 blocks.append([])
                 room = block
             run = min(hi - lo, room)
-            blocks[-1].append((lo, lo + run, block - room))
+            blocks[-1].append((lo, lo + run))
             lo += run
             room -= run
     threads = min(threads, len(blocks))
     # indexed by code; the gaps between the slices are never read
     repeated = np.empty(slices[-1][1], bool)
 
-    def gcd_block(runs: list[tuple[int, int, int]]) -> None:
-        # each block writes its own runs of repeated, so no two threads
+    def gcd_block(runs: list[tuple[int, int]]) -> None:
+        # each block writes only its own codes of repeated, so no two threads
         # write the same entry
-        lo, hi, at = runs[-1]
-        codes = np.arange(at + hi - lo, dtype=np.int64)
-        for lo, hi, at in runs:
-            codes[at : at + hi - lo] += lo - at
-        gdeg = _packed_gcd_degree(p, n, codes)
-        for lo, hi, at in runs:
-            np.greater(gdeg[at : at + hi - lo], 0, out=repeated[lo:hi])
+        codes = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in runs])
+        repeated[codes] = _packed_gcd_degree(p, n, codes) > 0
 
     # the sieve is the first task, so that on a pool it runs beside the gcd blocks
-    tasks = [(_sieve, p, n, slices, True)] + [(gcd_block, runs) for runs in blocks]
+    tasks = [(_sieve, p, n, slices)] + [(gcd_block, runs) for runs in blocks]
     if threads == 1:
         results = [_timed(*task) for task in tasks]
     else:

@@ -174,15 +174,16 @@ Z = RatPoly((0, 1))
 def necklace_polynomial(j: int) -> RatPoly:
     """M_j(z) = (1/j) sum over divisors d of j of mu(d) z^(j/d).
 
+    The Fraction view of `_necklace_terms(j)` divided by j, as
+    `cycle_polynomial` is of `scaled_cycle_polynomial`.
+
     >>> print(necklace_polynomial(2))
     1/2*z^2 - 1/2*z
     """
     if j <= 0:
         raise ValueError(f"necklace polynomial needs a positive index, got {j}")
-    coeffs = [Fraction(0)] * (j + 1)
-    for d in divisors(j):
-        coeffs[j // d] += Fraction(moebius(d), j)
-    return RatPoly(coeffs)
+    terms = dict(_necklace_terms(j))
+    return RatPoly(terms.get(e, 0) for e in range(j + 1)) / j
 
 
 def poly_binomial(p: RatPoly, m: int) -> RatPoly:

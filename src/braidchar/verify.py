@@ -11,17 +11,17 @@ binding it with ``for x in [...]`` where a generator expression needs it.
 Suites are deterministic: the check list and its order depend only on the
 limits, never on timing or scheduling.
 
-Three identity checks compare exact integers, the forms the library stores:
+Four identity checks compare exact integers, the forms the library stores:
 the cycle-polynomial sum reads sum_lam |C_lam| z_lam N_lam = n! (z^n -
-z^(n-1)) from `scaled_cycle_polynomial`, and the coefficient identity and the
-measure normalization read z_lam alpha_k = (-1)^k chi_n^k(lam) and
-sum_lam |C_lam| z_lam alpha_k = n! [k = 0] from `SplittingMeasure.scaled`.
-So a FAIL shows those scaled integers.  The `Fraction` route to the same
-identities stays in the tier-1 tests: acceptance criterion 11,
-``tests/test_ratpoly.py`` and ``tests/test_measures.py``.  The checks sweep
-partitions(n), valid by construction, so they call the unvalidated cores
-(`_splitting_measure`, `_closed_form`); input is validated where it enters
-the library.
+z^(n-1)) from `scaled_cycle_polynomial`; the coefficient identity, the
+measure normalization and telescoping read z_lam alpha_k = (-1)^k
+chi_n^k(lam) from `SplittingMeasure.scaled`, the second as sum_lam |C_lam|
+z_lam alpha_k = n! [k = 0].  So a FAIL shows those scaled integers.  The
+`Fraction` route to the same identities stays in the tier-1 tests:
+acceptance criterion 11, ``tests/test_ratpoly.py`` and
+``tests/test_measures.py``.  The checks sweep partitions(n), valid by
+construction, so they call the unvalidated cores (`_splitting_measure`,
+`_closed_form`); input is validated where it enters the library.
 
 The default limits keep a full ``run_suite("all")`` under two minutes:
 polynomial/character identities up to n = 12, anything needing full
@@ -263,14 +263,15 @@ def _suite_identities(limits: VerifyLimits) -> Iterator[Check]:
           (1, 0, 0))
          for n in range(1, max_n + 1) for lam in partitions(n)),
     )
+    # a_character defines chi_k as h - chi_(k-1), so chi is read from the
+    # measure's integers instead, chi_k = (-1)^k scaled[k]
     yield _compare(
         f"telescoping h = chi_(k-1) + chi_k, n<={max_n}",
-        (((n, k, lam), h(lam), lo(lam) + hi(lam))
+        (((n, k, lam), h(lam), (-1) ** (k - 1) * (s[k - 1] - s[k]))
          for n in range(1, max_n + 1) for k in range(1, n)
-         for h, lo, hi in [
-             (braid_character(n, k), a_character(n, k - 1), a_character(n, k))
-         ]
-         for lam in partitions(n)),
+         for h in [braid_character(n, k)]
+         for lam in partitions(n)
+         for s in [_splitting_measure(lam).scaled]),
     )
     # the next two read z_lam alpha_k, the integers `scaled` holds; since
     # |C_lam| z_lam = n!, the normalization's columns sum to (n!, 0, ..)

@@ -294,7 +294,7 @@ def test_factor_table_matches_trial_division(p, d):
     # the whole-range sieve holds the key and the repeated flag of every
     # code, and the type of every square-free one; the cached irreducibles
     # are the codes of key 0
-    sieved = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
+    sieved = fforacle._sieve(p, d, ((0, p**d, 1),))
     assert np.array_equal(fforacle._irreducible_codes(p, d), np.flatnonzero(sieved[0] == 0))
     assert_sieve_matches_factor_list(p, d, sieved, range(p**d), enumerate_irreducibles(p, d))
 
@@ -303,7 +303,7 @@ def test_factor_table_matches_trial_division(p, d):
 def test_products_match_trial_division_on_sampled_codes(p, d):
     # both cells are past the exhaustive ones, over F_2 and over odd p; half
     # the sample has a squared linear factor, so repeated flags occur
-    sieved = fforacle._sieve(p, d, ((0, p**d, 1),), squares=True)
+    sieved = fforacle._sieve(p, d, ((0, p**d, 1),))
     codes = sampled_codes(p, d, 2000, seed=d)
     assert sieved[2][codes].sum() >= 1000
     assert_sieve_matches_factor_list(p, d, sieved, codes.tolist(), enumerate_irreducibles(p, d // 2))

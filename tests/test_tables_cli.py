@@ -196,6 +196,26 @@ def test_cli_cycle_poly():
     assert "441" in res.output
 
 
+@pytest.mark.parametrize(
+    "fmt, output",
+    [
+        ("text", "N(-) = 1\nvalue at z = 3: 1\n"),
+        ("csv", "power,coefficient\n0,1\nvalue,1\n"),
+        (
+            "json",
+            '{\n  "partition": "",\n  "n": 0,\n  "degree": 0,\n'
+            '  "coefficients": [\n    "1"\n  ],\n  "z": "3",\n  "value": 1\n}\n',
+        ),
+    ],
+)
+def test_cli_cycle_poly_of_the_empty_partition(fmt, output):
+    # N of the empty partition is the constant 1, the only cycle polynomial
+    # with a nonzero constant term, so the only one that prints a constant
+    res = run_cli("cycle-poly", "--lambda", "", "--z", "3", "--format", fmt)
+    assert res.exit_code == 0
+    assert res.output == output
+
+
 def test_cli_hchar_csv():
     res = run_cli("hchar", "--n", "4", "--format", "csv")
     assert res.exit_code == 0

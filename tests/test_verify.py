@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from braidchar import reference, verify
+from braidchar import characters, reference, verify
 from braidchar.characters import a_character, braid_character
 from braidchar.cli import main
 from braidchar.partitions import class_data
@@ -268,7 +268,13 @@ def test_identities_suite_fails_on_a_wrong_scaled_coefficient(monkeypatch):
 
     monkeypatch.setattr(verify, "_splitting_measure", shifted)
     report = run_suite("identities", SMALL)
-    identity, normalization = report.failures
+    telescoping, identity, normalization = report.failures
+    # telescoping reads h_4^1 = scaled[0] - scaled[1] from the measure
+    h1 = braid_character(4, 1)(lam)
+    assert telescoping.description == "telescoping h = chi_(k-1) + chi_k, n<=7"
+    assert telescoping.details.startswith(
+        f"(n=4, k=1, lambda=3,1) expected {h1 - 1} got {h1}"
+    )
     h = -a_character(4, 1)(lam)
     assert identity.description == "coefficient identity alpha_k = (-1)^k chi_k / z, n<=7"
     assert identity.details == f"(n=4, k=1, lambda=3,1) expected {h} got {h + 1}"
@@ -279,8 +285,35 @@ def test_identities_suite_fails_on_a_wrong_scaled_coefficient(monkeypatch):
     assert normalization.details == (
         f"n=4 column sums expected [24, 0, 0, 0] got [24, {size}, 0, 0]"
     )
-    others = [c for c in report.checks if c not in (identity, normalization)]
-    assert len(others) == 6 and all(c.status == "PASS" for c in others)
+    others = [c for c in report.checks if c not in (telescoping, identity, normalization)]
+    assert len(others) == 5 and all(c.status == "PASS" for c in others)
+
+
+def test_identities_suite_fails_on_a_wrong_character(monkeypatch):
+    # one wrong coefficient of the integer cycle polynomial that the
+    # characters read, and only they: the measure still reads the right one,
+    # so telescoping, which a_character alone would satisfy by definition, fails
+    real = characters.scaled_cycle_polynomial
+
+    def shifted(mu):
+        poly = real(mu)
+        return (*poly[:3], poly[3] + 1, *poly[4:]) if mu == (2, 2, 1) else poly
+
+    cached = (characters.braid_character, characters.a_character)
+    for f in cached:
+        f.cache_clear()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(characters, "scaled_cycle_polynomial", shifted)
+            report = run_suite("identities", SMALL)
+    finally:  # no wrong character outlives the test
+        for f in cached:
+            f.cache_clear()
+    failed = [c.description.split()[0] for c in report.failures]
+    assert failed == ["edge", "telescoping", "coefficient", "closed"]
+    [telescoping] = [c for c in report.failures if c.description.startswith("telescoping")]
+    h = braid_character(5, 2)((2, 2, 1))
+    assert telescoping.details == f"(n=5, k=2, lambda=2,2,1) expected {h} got {h + 1}"
 
 
 def test_theorems_suite_fails_on_a_wrong_character(monkeypatch):
