@@ -6,25 +6,27 @@ fails (a ``verify`` suite check or an ``oracle`` census mismatch), 2 on usage
 errors (bad or conflicting flags, out-of-range arguments, refused budgets
 and sizes).  The library validates its own arguments and raises ValueError;
 ``_Command`` turns that into a usage error in one place, so the commands
-check only what the library cannot see: flag combinations and size limits.
+check only what the library cannot see: flag combinations and size limits,
+the weight m of ``decompose --which b*`` among them.  No flag sets the
+census's thread count; it runs one thread per CPU.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from fractions import Fraction
 
 import click
 
+from . import __version__
 from .characters import a_character, b_character, b_character_signed, braid_character
 from .fforacle import DEFAULT_BUDGET, census_vs_theory
 from .partitions import format_partition, parse_partition, partitions
 from .ratpoly import cycle_polynomial
 from .specht import decompose
 from .tables import (
-    COMMAND_LIMITS, FORMATS, TABLE_NAMES, emit_table, json_number, measures_table, render,
-    terms_json,
+    COMMAND_LIMITS, FORMATS, M_LIMIT_EXPONENT, TABLE_NAMES, emit_table, json_number,
+    measures_table, render, terms_json,
 )
 from .verify import SUITE_NAMES, VerifyLimits, run_suite
 
@@ -53,12 +55,6 @@ def format_option(choices: tuple[str, ...] = FORMATS):
     )
 
 
-workers_option = click.option(
-    "--workers",
-    type=click.IntRange(1, os.cpu_count() or 1),
-    default=None,
-    help="Census threads, from 1 to the CPU count [default: the CPU count].",
-)
 degree_option = click.option(
     "--n", type=click.IntRange(min=1), required=True, help="Symmetric group degree."
 )
@@ -79,7 +75,7 @@ class _Group(click.Group):
 
 
 @click.group(cls=_Group)
-@click.version_option(package_name="braidchar")
+@click.version_option(__version__, prog_name="braidchar")
 def main() -> None:
     """Exact splitting measures, braid cohomology characters, and checks."""
 
@@ -204,6 +200,12 @@ def decompose_cmd(n: int, k: int | None, m: int | None, which: str, fmt: str) ->
             raise click.UsageError(f"--k applies to --which h|a, not --which {which}")
         if m is None:
             raise click.UsageError(f"--which {which} requires --m")
+        if m > 10**M_LIMIT_EXPONENT:
+            raise click.UsageError(
+                f"decompose is limited to m <= 10^{M_LIMIT_EXPONENT}, the largest weight "
+                f"measured to finish within about 5 s with every integer under the "
+                f"4300 digits Python prints; got m = {m}"
+            )
         if which == "b":
             f = b_character(n, m)
         else:
@@ -229,7 +231,6 @@ def decompose_cmd(n: int, k: int | None, m: int | None, which: str, fmt: str) ->
 @main.command()
 @click.option("--p", type=int, required=True, help="Field characteristic (prime).")
 @click.option("--n", type=int, required=True, help="Polynomial degree.")
-@workers_option
 @click.option(
     "--budget",
     type=int,
@@ -238,9 +239,9 @@ def decompose_cmd(n: int, k: int | None, m: int | None, which: str, fmt: str) ->
     help="Largest p^n the census may take.",
 )
 @format_option()
-def oracle(p: int, n: int, workers: int | None, budget: int, fmt: str) -> None:
+def oracle(p: int, n: int, budget: int, fmt: str) -> None:
     """Exhaustive square-free census over F_p versus cycle polynomial counts."""
-    report = census_vs_theory(p, n, budget=budget, workers=workers)
+    report = census_vs_theory(p, n, budget=budget)
     header = ["partition", "count", "theory", "ok"]
     rows = [
         [format_partition(r.partition), r.count, r.predicted, r.ok] for r in report.rows
@@ -284,13 +285,10 @@ def table(name: str, n: int | None, max_n: int | None, fmt: str) -> None:
 @click.option(
     "--max-n", type=click.IntRange(min=1), default=None, help="Cap every sweep at this n."
 )
-@workers_option
 @format_option(("text", "json"))
-def verify(suite: str, max_n: int | None, workers: int | None, fmt: str) -> None:
+def verify(suite: str, max_n: int | None, fmt: str) -> None:
     """Run a verification suite; exits 1 when any check fails."""
-    if workers is not None and suite not in ("oracle", "all"):
-        raise click.UsageError(f"--workers applies to verify oracle|all, not verify {suite}")
-    report = run_suite(suite, VerifyLimits(workers=workers).capped(max_n))
+    report = run_suite(suite, VerifyLimits().capped(max_n))
     payload = {
         "suite": report.suite,
         "passed": report.passed,

@@ -48,18 +48,19 @@ where wide ones do not fit.  A cell too wide for the words, such as
 ValueError before any table is built; the default budget admits no such
 cell.  The tests hold the kernels to scalar Euclid.
 
-The vectorized census runs on ``workers`` threads (by default the CPU
-count), never more than it has gcd blocks; numpy releases the interpreter
-lock in the loops that do the work.  The gcd kernel's tables are built
-first, on the calling thread.  The factor sieve, with its decode, is then
-the first task of the pool, beside the gcd blocks, none of which reads it.
-A block is runs (lo, hi) of up to _BLOCK // w codes of the sections in
-order, w the number of threads, so a small cell is one block however many
-sections it has; each writes its square-free verdicts at its own codes of
-one array indexed by code, which the calling thread cross-checks and
-counts, section by section, once the pool is done.  With one thread, or
-one block, all of it runs on the calling thread.  About _BLOCK rows are
-in flight at any time, whatever the number of threads.
+The vectorized census runs on one thread per CPU (``os.cpu_count()``),
+never more than it has gcd blocks; numpy releases the interpreter lock in
+the loops that do the work, and the tallies are the same for every thread
+count.  The gcd kernel's tables are built first, on the calling thread.
+The factor sieve, with its decode, is then the first task of the pool,
+beside the gcd blocks, none of which reads it.  A block is runs (lo, hi)
+of up to _BLOCK // w codes of the sections in order, w the number of
+threads, so a small cell is one block however many sections it has; each
+writes its square-free verdicts at its own codes of one array indexed by
+code, which the calling thread cross-checks and counts, section by
+section, once the pool is done.  With one thread, or one block, all of it
+runs on the calling thread.  About _BLOCK rows are in flight at any time,
+whatever the number of threads.
 """
 
 from __future__ import annotations
@@ -1155,14 +1156,12 @@ def _timed(task, *args) -> tuple[object, float]:
     return task(*args), time.perf_counter() - start
 
 
-def _census_vector(
-    p: int, n: int, workers: int | None
-) -> tuple[dict[Partition, int], dict[str, float]]:
+def _census_vector(p: int, n: int) -> tuple[dict[Partition, int], dict[str, float]]:
     # on this thread, a cell too wide for the key or the words is refused first
     _factor_key(n)
     _, setup = _timed(_kernel, p, n)
     slices = _orbit_slices(p, n)
-    threads = workers or os.cpu_count() or 1
+    threads = os.cpu_count() or 1
     block = max(1, _BLOCK // threads)
     # blocks as in the module docstring, each a list of runs (lo, hi), the codes [lo, hi)
     blocks: list[list[tuple[int, int]]] = []
@@ -1221,46 +1220,32 @@ def _census_vector(
     return dict(zip(partitions(n), counts.tolist())), seconds
 
 
-def factor_type_census(
-    p: int,
-    n: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
-) -> FactorTypeTally:
+def factor_type_census(p: int, n: int, *, budget: int = DEFAULT_BUDGET) -> FactorTypeTally:
     """Count square-free monic degree-n polynomials over F_p by type.
 
-    Every cell runs the vectorized engine on ``workers`` threads, by
-    default the CPU count; the tests hold it to the scalar _census_scalar.
+    Every cell runs the vectorized engine, one thread per CPU; the tests
+    hold it to the scalar _census_scalar.
 
     >>> factor_type_census(3, 2).counts
     {(2,): 3, (1, 1): 3}
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if workers is not None and workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     _candidates(p, n, budget, f"census of degree {n} over F_{p}")
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
-    counts, seconds = _census_vector(p, n, workers)
+    counts, seconds = _census_vector(p, n)
     return FactorTypeTally(p, n, counts, sum(counts.values()), seconds)
 
 
-def census_vs_theory(
-    p: int,
-    n: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-    workers: int | None = None,
-) -> CensusReport:
+def census_vs_theory(p: int, n: int, *, budget: int = DEFAULT_BUDGET) -> CensusReport:
     """Compare the census against cycle polynomial and measure predictions.
 
     For every partition lam of n the census count must equal N_lam(p), and
     (for n >= 2) the splitting measure times the square-free total must give
     the same count back.
     """
-    tally = factor_type_census(p, n, budget=budget, workers=workers)
+    tally = factor_type_census(p, n, budget=budget)
     expected_total = p**n - p ** (n - 1) if n >= 2 else p
     rows = []
     for lam in partitions(n):

@@ -43,6 +43,13 @@ COMMAND_LIMITS = {
     "cycle-poly": 800,
 }
 
+#: ``decompose --which b*`` takes m <= 10**M_LIMIT_EXPONENT.  At n = 24, m =
+#: 10^194 took 1.6 s for ``--which b`` and ``b-diff`` (median of five
+#: fresh-process runs on a 2-core machine), and the dimension of B_{24,m}
+#: has 4291 digits; at 10^195 it passes the 4300 digits that Python converts
+#: to text, so the digits bind before the 5 s rule.
+M_LIMIT_EXPONENT = 194
+
 FORMATS = ("text", "csv", "json")
 
 

@@ -121,7 +121,6 @@ class VerifyLimits:
     oracle_primes: tuple[int, ...] = (2, 3, 5, 7)
     oracle_limit: int = 10**6
     oracle_max_degree: int | None = None
-    workers: int | None = None
 
     def capped(self, max_n: int | None) -> "VerifyLimits":
         if max_n is None:
@@ -404,9 +403,7 @@ def _oracle_grid(limits: VerifyLimits) -> list[tuple[int, int]]:
 
 def _suite_oracle(limits: VerifyLimits) -> Iterator[Check]:
     for p, n in _oracle_grid(limits):
-        report = census_vs_theory(
-            p, n, budget=limits.oracle_limit, workers=limits.workers
-        )
+        report = census_vs_theory(p, n, budget=limits.oracle_limit)
         # a row's ok also holds the measure route's count, so both routes
         # are compared: (count, ok) against (predicted, True)
         cells = [((n, r.partition), (r.count, r.ok), (r.predicted, True))

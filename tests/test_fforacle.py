@@ -2,6 +2,7 @@
 
 import functools
 import math
+import os
 import random
 import re
 import sys
@@ -514,18 +515,21 @@ def clear_factor_tables():
 
 
 def test_workers_match_serial(monkeypatch):
-    serial = factor_type_census(3, 8, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    serial = factor_type_census(3, 8)
     # the 3^7 = 2187 codes of (3, 8) fit one default block; split them into 5
     # to 35 blocks
     monkeypatch.setattr(fforacle, "_BLOCK", 512)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as possible
     try:
-        for workers in (1, 2, None, 8):
+        # the census takes one thread per CPU, and one when the count is unknown
+        for threads in (1, 2, None, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda: threads)
             # cold tables, so that the sieve runs beside the gcd blocks
             clear_factor_tables()
-            parallel = factor_type_census(3, 8, workers=workers)
-            assert serial.counts == parallel.counts, workers
+            parallel = factor_type_census(3, 8)
+            assert serial.counts == parallel.counts, threads
     finally:
         sys.setswitchinterval(interval)
 
@@ -544,13 +548,15 @@ def test_workers_bound_the_threads(monkeypatch):
 
     monkeypatch.setattr(fforacle, "_sieve", record(sieve))
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", record(kernel))
-    factor_type_census(3, 8, workers=1)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    factor_type_census(3, 8)
     assert ran_on and set(ran_on) == {threading.main_thread().ident}
 
     clear_factor_tables()
     ran_on.clear()
     monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 9 blocks of up to 256 codes
-    factor_type_census(3, 8, workers=2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    factor_type_census(3, 8)
     assert len(ran_on) > 9
     assert len(set(ran_on)) <= 2
 
@@ -560,6 +566,7 @@ def test_sieve_failure_in_a_thread_reaches_caller(monkeypatch):
     threads_before = threading.active_count()
     monkeypatch.setattr(fforacle, "necklace_polynomial", lambda d: RatPoly((-1,)))
     monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 9 blocks of up to 256 codes on 2 threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     kernel = fforacle._packed_gcd_degree
     blocks_run = []
 
@@ -569,7 +576,7 @@ def test_sieve_failure_in_a_thread_reaches_caller(monkeypatch):
 
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", counted)
     with pytest.raises(RuntimeError, match=r"irreducible count .* expected M_\d+\(3\)"):
-        factor_type_census(3, 8, workers=2)
+        factor_type_census(3, 8)
     assert threading.active_count() == threads_before
     # the blocks not yet started when the sieve failed never ran
     assert len(blocks_run) < 9
@@ -600,15 +607,17 @@ def test_undecodable_key_in_the_sieve_thread_reaches_caller(monkeypatch):
     monkeypatch.setattr(fforacle, "_factor_key", wrong_digit)
     monkeypatch.setattr(fforacle, "_sieve", record)
     monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 9 blocks of up to 256 codes on 2 threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match=r"a square-free factor key is no type's: F_3, d=8"):
-        factor_type_census(3, 8, workers=2)
+        factor_type_census(3, 8)
     assert threading.active_count() == threads_before
     assert len(raised_on) == 1 and raised_on[0] is not threading.main_thread()
 
 
 def test_worker_thread_failure_reaches_caller(monkeypatch):
     monkeypatch.setattr(fforacle, "_BLOCK", 512)  # 9 blocks of up to 256 codes on 2 threads
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     kernel = fforacle._packed_gcd_degree
     corrupted_in = []
 
@@ -621,7 +630,7 @@ def test_worker_thread_failure_reaches_caller(monkeypatch):
 
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_one_block)
     with pytest.raises(RuntimeError, match="disagrees with factorization"):
-        factor_type_census(3, 8, workers=2)
+        factor_type_census(3, 8)
     assert len(corrupted_in) == 1
     assert corrupted_in[0] is not threading.main_thread()
 
@@ -638,16 +647,17 @@ def test_gcd_blocks_run_across_sections(monkeypatch):
 
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", record)
     sections = [code for lo, hi, _ in fforacle._orbit_slices(3, 6) for code in range(lo, hi)]
-    factor_type_census(3, 6, workers=2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    factor_type_census(3, 6)
     assert calls == [sections]
     calls.clear()
     monkeypatch.setattr(fforacle, "_BLOCK", 256)
-    factor_type_census(3, 6, workers=2)
+    factor_type_census(3, 6)
     assert sorted(calls) == [sections[:128], sections[128:]]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_gcd_disagreement_in_the_second_scaling_slice_raises(workers, monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_gcd_disagreement_in_the_second_scaling_slice_raises(threads, monkeypatch):
     # (3, 6) enumerates four sections, 216 codes, the last one [243, 324) of
     # a_5 = 1, a_4 = 0; its last code is x^6 + x^5 + 2x^3 + 2x^2 + 2x + 2, at
     # the end of the last block
@@ -665,8 +675,9 @@ def test_gcd_disagreement_in_the_second_scaling_slice_raises(workers, monkeypatc
     # spanning sections
     monkeypatch.setattr(fforacle, "_BLOCK", 256)
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", corrupt_one_code)
+    monkeypatch.setattr(os, "cpu_count", lambda: threads)
     with pytest.raises(RuntimeError, match="disagrees with factorization"):
-        factor_type_census(3, 6, workers=workers)
+        factor_type_census(3, 6)
     assert corrupted == [-1]
 
 
@@ -759,9 +770,6 @@ def test_bad_inputs_rejected():
         factor_type_census(4, 3)
     with pytest.raises(ValueError):
         factor_type_census(2, 0)
-    for workers in (0, -3):
-        with pytest.raises(ValueError, match="workers"):
-            factor_type_census(2, 3, workers=workers)
 
 
 def poly_add(a, b, p):

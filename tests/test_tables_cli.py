@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import io
 import json
-import os
 import re
 import time
 from fractions import Fraction
@@ -13,18 +12,18 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from braidchar import fforacle, reference
+from braidchar import __version__, fforacle, reference
 from braidchar.cli import main
 from braidchar.partitions import parse_partition
 from braidchar.tables import (
     COMMAND_LIMITS,
     FORMATS,
+    M_LIMIT_EXPONENT,
     TABLE_LIMITS,
     TABLE_NAMES,
     emit_table,
     render,
 )
-from braidchar.verify import SUITE_NAMES
 
 
 def run_cli(*args):
@@ -354,17 +353,17 @@ def test_cli_verify_json():
         ("achar", "--n", str(COMMAND_LIMITS["achar"] + 1), "--k", "1"),
         ("decompose", "--n", str(COMMAND_LIMITS["decompose"] + 1), "--k", "1"),
         ("cycle-poly", "--lambda", str(COMMAND_LIMITS["cycle-poly"] + 1)),
-        ("oracle", "--p", "2", "--n", "3", "--workers", "0"),
-        ("oracle", "--p", "2", "--n", "3", "--workers", "-3"),
-        ("oracle", "--p", "2", "--n", "3", "--workers", str((os.cpu_count() or 1) + 1)),
+        *(("decompose", "--n", str(COMMAND_LIMITS["decompose"]), "--which", which,
+           "--m", str(10**M_LIMIT_EXPONENT + 1))
+          for which in ("b", "b-plus", "b-minus", "b-diff")),
+        ("decompose", "--n", str(COMMAND_LIMITS["decompose"]), "--which", "b",
+         "--m", str(10**3000)),
         ("oracle", "--p", "2305843009213693951", "--n", "1"),
         # a product of the primes 2^30 + 3 and 2^30 + 7, and a number past the
         # bound below which primality is decided, both within budget
         ("oracle", "--p", str(1073741827 * 1073741831), "--n", "1", "--budget", str(2**61)),
         ("oracle", "--p", "3317044064679887385961983", "--n", "1", "--budget", str(10**25)),
         ("oracle", "--p", "3", "--n", "100000000"),
-        *(("verify", suite, "--workers", "1")
-          for suite in SUITE_NAMES if suite not in ("oracle", "all")),
     ],
 )
 def test_cli_usage_errors_exit_two(args):
@@ -387,12 +386,18 @@ def test_cli_oracle_refuses_a_budget_below_one(budget):
     assert f"budget must be at least 1, got {budget}" in res.output
 
 
-def test_cli_verify_workers_needs_a_census():
-    res = run_cli("verify", "tables", "--workers", "1")
+@pytest.mark.parametrize("args", [("oracle", "--p", "2", "--n", "3"), ("verify", "oracle")])
+def test_cli_census_takes_no_thread_count(args):
+    # the census runs one thread per CPU; no flag chooses another count
+    res = run_cli(*args, "--workers", "1")
     assert res.exit_code == 2
-    assert "--workers applies to verify oracle|all, not verify tables" in res.output
-    for suite in ("oracle", "all"):
-        assert run_cli("verify", suite, "--max-n", "1", "--workers", "1").exit_code == 0
+    assert "No such option '--workers'" in res.output
+
+
+def test_cli_version_needs_no_install():
+    res = run_cli("--version")
+    assert res.exit_code == 0, res.output
+    assert res.output == f"braidchar, version {__version__}\n"
 
 
 def test_cli_size_refusal_names_the_limit():
@@ -400,6 +405,9 @@ def test_cli_size_refusal_names_the_limit():
     res = run_cli("measure", "--n", str(limit + 1))
     assert res.exit_code == 2
     assert f"n <= {limit}" in res.output
+    res = run_cli("decompose", "--n", "5", "--which", "b-diff", "--m", str(10**200))
+    assert res.exit_code == 2
+    assert f"m <= 10^{M_LIMIT_EXPONENT}" in res.output
 
 
 def test_readme_limits_table_matches_the_code():
@@ -417,3 +425,4 @@ def test_readme_limits_table_matches_the_code():
         for name in re.findall(r"`([^`]+)`", names)
     }
     assert documented == TABLE_LIMITS
+    assert rows["`decompose --which b*`"].strip() == f"`--m` up to 10^{M_LIMIT_EXPONENT}"

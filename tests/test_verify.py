@@ -1,5 +1,7 @@
 """Runtime verification suites."""
 
+import os
+import threading
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -7,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 from click.testing import CliRunner
 
-from braidchar import characters, reference, verify
+from braidchar import characters, fforacle, reference, verify
 from braidchar.characters import a_character, braid_character
 from braidchar.cli import main
 from braidchar.partitions import class_data
@@ -53,13 +55,39 @@ def test_suites_are_deterministic():
     assert strip(first) == strip(second)
 
 
+def test_oracle_suite_does_not_depend_on_the_thread_count(monkeypatch):
+    # blocks of 32 codes on two threads, so that the larger cells run on a pool
+    monkeypatch.setattr(fforacle, "_BLOCK", 64)
+    kernel = fforacle._packed_gcd_degree
+    ran_on = set()
+
+    def record(p, n, codes):
+        ran_on.add(threading.get_ident())
+        return kernel(p, n, codes)
+
+    monkeypatch.setattr(fforacle, "_packed_gcd_degree", record)
+    limits = replace(SMALL, oracle_primes=(2, 3), oracle_limit=3**6)
+    checks = {}
+    for threads in (1, 2):
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)
+        ran_on.clear()
+        checks[threads] = [
+            (c.description, c.status, c.details, c.cells)
+            for c in run_suite("oracle", limits).checks
+        ]
+        main_only = ran_on == {threading.main_thread().ident}
+        assert main_only == (threads == 1), threads
+    assert checks[1] == checks[2]
+    assert len(checks[1]) == 15 and all(c[1] == "PASS" for c in checks[1])
+
+
 def test_capped_limits():
     limits = VerifyLimits().capped(5)
     assert limits.max_n == 5
     assert limits.max_n_class == 5
     assert limits.oracle_max_degree == 5
-    custom = VerifyLimits(workers=2, oracle_primes=(3, 5)).capped(4)
-    assert (custom.workers, custom.oracle_primes) == (2, (3, 5))
+    custom = VerifyLimits(oracle_primes=(3, 5)).capped(4)
+    assert custom.oracle_primes == (3, 5)
     assert VerifyLimits(max_n=3).capped(8).max_n == 3
     assert VerifyLimits().capped(None) == VerifyLimits()
 
