@@ -34,6 +34,7 @@ from .partitions import (
     Partition,
     _position,
     check_partition,
+    check_rational,
     class_data,
     moebius,
     multiplicities,
@@ -96,6 +97,8 @@ class ClassFunction:
     def __mul__(self, other) -> "ClassFunction":
         if isinstance(other, ClassFunction):
             return self._pointwise(other, operator.mul)
+        num, den = check_rational(other, "a ClassFunction scalar")
+        other = num if den == 1 else Fraction(num, den)
         return ClassFunction(self.n, {lam: v * other for lam, v in self.values.items()})
 
     __rmul__ = __mul__
@@ -186,6 +189,7 @@ def b_character_signed(n: int, m: int) -> tuple[ClassFunction, ClassFunction]:
 
     dim B+- = (prod_{j=2}^{n-1} (1 + jm) +- prod_{j=2}^{n-1} (1 - jm)) / 2.
     """
+    n, m = operator.index(n), operator.index(m)
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     if m < 1:

@@ -7,8 +7,8 @@ errors (bad or conflicting flags, out-of-range arguments, refused budgets
 and sizes).  The library validates its own arguments and raises ValueError;
 ``_Command`` turns that into a usage error in one place, so the commands
 check only what the library cannot see: flag combinations and size limits,
-the weight m of ``decompose --which b*`` among them.  No flag sets the
-census's thread count; it runs one thread per CPU.
+the weight m of ``decompose --which b*`` and ``--z`` among them.  No flag
+sets the census's thread count; it runs one thread per CPU.
 """
 
 from __future__ import annotations
@@ -25,17 +25,33 @@ from .partitions import format_partition, parse_partition, partitions
 from .ratpoly import cycle_polynomial
 from .specht import decompose
 from .tables import (
-    COMMAND_LIMITS, FORMATS, M_LIMIT_EXPONENT, TABLE_NAMES, emit_table, json_number,
-    measures_table, render, terms_json,
+    COMMAND_LIMITS, FORMATS, M_LIMIT_EXPONENT, TABLE_NAMES, Z_BITS_LIMIT, check_digits,
+    emit_table, json_number, measures_table, render, terms_json,
 )
 from .verify import SUITE_NAMES, VerifyLimits, run_suite
 
 
-def _fraction(text: str) -> Fraction:
+def _parse_z(text: str | None, command: str, degree: int) -> Fraction | None:
+    """--z, refused when degree x its bits passes Z_BITS_LIMIT or it cannot be printed."""
+    if text is None:
+        return None
+    # Fraction forms 10**e for an exponent e before any check can run; a
+    # nonzero --z that prints has |e| < 10^5
+    exponent = text.lower().partition("e")[2].replace("_", "").strip().lstrip("+-0")
+    if exponent.isdigit() and len(exponent) > 5:
+        raise click.UsageError(f"--z takes exponents of at most 5 digits; got one of {len(exponent)}")
     try:
-        return Fraction(text)
+        z = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise click.UsageError(f"expected a rational like 3 or -2/5, got {text!r}: {exc}")
+    bits = max(z.numerator.bit_length(), z.denominator.bit_length())
+    if degree * bits > Z_BITS_LIMIT:
+        raise click.UsageError(
+            f"{command} is limited to degree x bits of --z <= {Z_BITS_LIMIT}, the largest "
+            f"measured to finish within about 5 s; got {degree} x {bits}"
+        )
+    check_digits(z, "--z")
+    return z
 
 
 def _check_size(command: str, n: int) -> None:
@@ -94,7 +110,7 @@ def measure(n: int, z_text: str | None, per_element: bool, fmt: str) -> None:
     _check_size("measure", n)
     if per_element and z_text is None:
         raise click.UsageError("--per-element needs --z")
-    z = _fraction(z_text) if z_text is not None else None
+    z = _parse_z(z_text, "measure", n - 1)
     header, rows, json_rows = measures_table(n, z, per_element)
     payload = {
         "n": n,
@@ -114,7 +130,7 @@ def cycle_poly(lam_text: str, z_text: str | None, fmt: str) -> None:
     """Cycle polynomial of a partition, constant coefficient first."""
     lam = parse_partition(lam_text)
     _check_size("cycle-poly", sum(lam))
-    z = _fraction(z_text) if z_text is not None else None
+    z = _parse_z(z_text, "cycle-poly", sum(lam))
     poly = cycle_polynomial(lam)
     payload = {
         "partition": format_partition(lam),
@@ -126,6 +142,7 @@ def cycle_poly(lam_text: str, z_text: str | None, fmt: str) -> None:
     text = f"N({format_partition(lam) or '-'}) = {poly}\n"
     if z is not None:
         value = poly(z)
+        check_digits(value, "the value at z")
         payload.update(z=str(z), value=json_number(value))
         rows.append(["value", value])
         text += f"value at z = {z}: {value}\n"

@@ -67,6 +67,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
@@ -102,25 +103,24 @@ class BudgetError(ValueError):
         super().__init__(f"{what} requires {need} candidates, configured {budget}")
 
 
-def _candidates(p: int, n: int, budget: int, what: str) -> int:
-    """p**n, or BudgetError when it exceeds ``budget``.
+def _admit(p: int, n: int, budget: int, what: str) -> tuple[int, int]:
+    """(p, n) as Python ints (operator.index), once p**n <= budget and p is prime.
 
-    The budget bounds p**n, the polynomials a census counts, not the fewer
-    codes it enumerates, a few per orbit (see _orbit_slices).
-
-    Callers run this before the primality test.  When p**n would have over
-    four times the budget's bits it is refused unformed: then
-    p**n >= 2**(bits(p) n / 2) > budget**2, and forming it can take seconds.
-    A budget below 1 admits nothing and is refused first, with ValueError.
+    A budget below 1 is refused first.  The budget bounds p**n, not the fewer
+    codes a census enumerates (see _orbit_slices); when p**n would have over
+    four times its bits it is refused unformed: then p**n >= 2**(bits(p) n / 2)
+    > budget**2, and forming it can take seconds.  Primality is tested last.
     """
+    p, n, budget = operator.index(p), operator.index(n), operator.index(budget)
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
     if p.bit_length() > 1 and p.bit_length() * n > 4 * budget.bit_length():
         raise BudgetError(what, None, budget)
-    required = p**n
-    if required > budget:
-        raise BudgetError(what, required, budget)
-    return required
+    if p**n > budget:
+        raise BudgetError(what, p**n, budget)
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
+    return p, n
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -267,9 +267,7 @@ def enumerate_irreducibles(
     """
     if d_max < 0:
         raise ValueError(f"d_max must be nonnegative, got {d_max}")
-    _candidates(p, d_max, budget, f"enumerating irreducibles to degree {d_max} over F_{p}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    p, d_max = _admit(p, d_max, budget, f"enumerating irreducibles to degree {d_max} over F_{p}")
     table: dict[int, list[PolyCoeffs]] = {}
     for d in range(1, d_max + 1):
         found = []
@@ -1231,9 +1229,7 @@ def factor_type_census(p: int, n: int, *, budget: int = DEFAULT_BUDGET) -> Facto
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    _candidates(p, n, budget, f"census of degree {n} over F_{p}")
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
+    p, n = _admit(p, n, budget, f"census of degree {n} over F_{p}")
     counts, seconds = _census_vector(p, n)
     return FactorTypeTally(p, n, counts, sum(counts.values()), seconds)
 
@@ -1246,6 +1242,7 @@ def census_vs_theory(p: int, n: int, *, budget: int = DEFAULT_BUDGET) -> CensusR
     the same count back.
     """
     tally = factor_type_census(p, n, budget=budget)
+    p, n = tally.p, tally.n
     expected_total = p**n - p ** (n - 1) if n >= 2 else p
     rows = []
     for lam in partitions(n):

@@ -28,7 +28,7 @@ from functools import cache, cached_property
 from itertools import accumulate
 from numbers import Rational
 
-from .partitions import Partition, centralizer_order, check_partition, class_data
+from .partitions import Partition, centralizer_order, check_partition, check_rational, class_data
 from .ratpoly import scaled_cycle_polynomial
 
 
@@ -57,16 +57,15 @@ class SplittingMeasure:
         With per_element=True the class value is divided by the class size,
         giving the measure of a single permutation of cycle type lam.
         """
-        z = Fraction(z)
+        r, s = check_rational(z, "z of a splitting measure")
         data = class_data(self.partition)
-        if z == 0:
+        if r == 0:
             if any(self.scaled[1:]):
                 raise ValueError("pole at z = 0")
             total = Fraction(self.scaled[0], data.centralizer_order)
         else:
             # in integers: with z = r/s the value is
             # sum_k scaled_k s^k r^(n-1-k) / (z_lam r^(n-1)), one Fraction formed
-            r, s = z.numerator, z.denominator
             num, r_power = 0, 1
             for c in reversed(self.scaled):
                 num = num * s + c * r_power

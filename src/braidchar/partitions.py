@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import factorial
+from numbers import Rational
 from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
@@ -47,6 +48,14 @@ def check_partition(parts: Iterable[int]) -> Partition:
         if i > 0 and lam[i - 1] < p:
             raise ValueError(f"parts must be weakly decreasing, got {lam}")
     return lam
+
+
+def check_rational(value: Rational, what: str) -> tuple[int, int]:
+    """value's numerator and denominator as Python ints, for any `numbers.Rational`
+    (numpy integers included); any other value is refused with TypeError."""
+    if not isinstance(value, Rational):
+        raise TypeError(f"{what} is {value!r} of class {type(value).__name__}")
+    return int(value.numerator), int(value.denominator)
 
 
 @cache

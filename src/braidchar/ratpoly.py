@@ -34,9 +34,17 @@ from .partitions import (
     Partition,
     centralizer_order,
     check_partition,
+    check_rational,
     divisors,
     moebius,
 )
+
+
+def _scalar(value: Rational) -> Fraction:
+    """A coefficient, a scalar operand or an argument of a RatPoly, as a Fraction of ints."""
+    if type(value) is Fraction and type(value.numerator) is int is type(value.denominator):
+        return value
+    return Fraction(*check_rational(value, "a RatPoly coefficient or scalar"))
 
 
 class RatPoly:
@@ -45,7 +53,7 @@ class RatPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self._coeffs = tuple(cs)
@@ -66,7 +74,7 @@ class RatPoly:
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RatPoly):
             return self._coeffs == other._coeffs
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Rational):
             return self._coeffs == RatPoly((other,))._coeffs
         return NotImplemented
 
@@ -77,10 +85,8 @@ class RatPoly:
         return RatPoly(-c for c in self._coeffs)
 
     def __add__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            other = RatPoly((other,))
         if not isinstance(other, RatPoly):
-            return NotImplemented
+            other = RatPoly((other,))
         a, b = self._coeffs, other._coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -92,16 +98,15 @@ class RatPoly:
     __radd__ = __add__
 
     def __sub__(self, other) -> "RatPoly":
-        return self + (-other if isinstance(other, RatPoly) else RatPoly((-Fraction(other),)))
+        return self + (-other if isinstance(other, RatPoly) else -_scalar(other))
 
     def __rsub__(self, other) -> "RatPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "RatPoly":
-        if isinstance(other, (int, Fraction)):
-            return RatPoly(c * other for c in self._coeffs)
         if not isinstance(other, RatPoly):
-            return NotImplemented
+            other = _scalar(other)
+            return RatPoly(c * other for c in self._coeffs)
         a, b = self._coeffs, other._coeffs
         if not a or not b:
             return RatPoly()
@@ -128,11 +133,11 @@ class RatPoly:
         return out
 
     def __truediv__(self, scalar) -> "RatPoly":
-        return self * (1 / Fraction(scalar))
+        return self * (1 / _scalar(scalar))
 
     def __call__(self, x: Rational) -> Fraction:
         """Evaluate by Horner's scheme."""
-        acc = Fraction(0)
+        acc, x = Fraction(0), _scalar(x)
         for c in reversed(self._coeffs):
             acc = acc * x + c
         return acc
@@ -256,4 +261,5 @@ def cycle_polynomial(lam: Partition) -> RatPoly:
     1/4*z^4 - 1/2*z^3 + 1/4*z^2
     """
     lam = check_partition(lam)
-    return RatPoly(scaled_cycle_polynomial(lam)) / centralizer_order(lam)
+    z_lam = centralizer_order(lam)
+    return RatPoly(Fraction(c, z_lam) for c in scaled_cycle_polynomial(lam))

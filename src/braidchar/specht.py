@@ -39,7 +39,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import factorial, isqrt, lcm
-from numbers import Rational
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from .partitions import (
     _position,
     _tail_start,
     check_partition,
+    check_rational,
     class_data,
     conjugate,
     format_partition,
@@ -311,17 +311,6 @@ class IrrepDecomposition:
         return " ".join(pieces)
 
 
-def _ratio(lam: Partition, value) -> tuple[int, int]:
-    """value's numerator and denominator as Python ints; a value that is not
-    a `numbers.Rational` is refused with TypeError."""
-    if not isinstance(value, Rational):
-        raise TypeError(
-            f"decompose needs rational values; the value at {lam} is "
-            f"{value!r} of class {type(value).__name__}"
-        )
-    return int(value.numerator), int(value.denominator)
-
-
 def decompose(f: ClassFunction, virtual: bool = False) -> IrrepDecomposition:
     """Write a rational class function as a sum of irreducibles.
 
@@ -341,7 +330,11 @@ def decompose(f: ClassFunction, virtual: bool = False) -> IrrepDecomposition:
     table = _table(f.n)
     parts = partitions(f.n)
     values = [f.values[lam] for lam in parts]
-    ratios = [(v, 1) if type(v) is int else _ratio(lam, v) for lam, v in zip(parts, values)]
+    ratios = [
+        (v, 1) if type(v) is int
+        else check_rational(v, f"decompose needs rational values; the value at {lam}")
+        for lam, v in zip(parts, values)
+    ]
     # clear denominators once, so each multiplicity is an integer dot product
     scale = lcm(*(d for _, d in ratios))
     weighted = [

@@ -50,7 +50,20 @@ COMMAND_LIMITS = {
 #: to text, so the digits bind before the 5 s rule.
 M_LIMIT_EXPONENT = 194
 
+#: ``--z`` takes (degree evaluated) x (bits of z's larger part) <= Z_BITS_LIMIT:
+#: ``cycle-poly`` of 1^800 at z = (2^625 - 1)/(2^625 - 3) took 4.6 s (median of
+#: five fresh-process runs on a 2-core machine).  ``check_digits`` then refuses
+#: a value that Python, which prints at most 4300 digits, could not print.
+Z_BITS_LIMIT = 500_000
+
 FORMATS = ("text", "csv", "json")
+_UNPRINTABLE = 10**4300  # the least integer of more than 4300 digits
+
+
+def check_digits(x: Fraction, what: str) -> None:
+    """Refuse with ValueError a rational that Python could not print."""
+    if max(abs(x.numerator), x.denominator) >= _UNPRINTABLE:
+        raise ValueError(f"{what} has a part of more than 4300 digits, which Python does not print")
 
 
 def json_number(x: Fraction) -> Any:
@@ -152,6 +165,7 @@ def measures_table(
         row: dict[str, Any] = dict(zip(header, line[:3]), alpha=alpha)
         if z is not None:
             value = m.value(z, per_element=per_element)
+            check_digits(value, f"the measure of ({line[0]}) at z")
             row["value"] = json_number(value)
             line.append(str(value))
         rows.append(line)

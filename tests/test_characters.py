@@ -1,8 +1,12 @@
 """Cohomology characters, closed forms, and graded sum identities."""
 
+import re
+import warnings
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 import braidchar
@@ -209,6 +213,42 @@ def test_b_character_signed_split():
             total = b_character(n, m)
             for lam in partitions(n):
                 assert plus(lam) + minus(lam) == total(lam)
+
+
+def test_b_character_reads_numpy_integers_as_ints():
+    # an int64 weight once wrapped: m^8 = 10^40 does not fit 64 bits
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        b = b_character(np.int64(9), np.int64(10**5))
+    assert b == b_character(9, 10**5)
+    assert b.dimension == 4032069264488601842404025005110003500001
+    assert all(type(v) is int for v in b.values.values())
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        b_character_signed(4, 1.0)
+
+
+@pytest.mark.parametrize("c", [3, Fraction(-3, 2), np.int64(3)])
+def test_class_function_scalar_takes_every_rational(c):
+    h = braid_character(4, 1)
+    q = Fraction(int(c.numerator), int(c.denominator))
+    scaled = h * c
+    assert scaled == c * h
+    assert scaled.values == {lam: v * q for lam, v in h.values.items()}
+    # an integer scalar keeps integer values integers
+    assert all(type(v) is int for v in scaled.values.values()) == (q.denominator == 1)
+    # a sum takes class functions only
+    assert ClassFunction.__add__(h, c) is NotImplemented
+    with pytest.raises(TypeError):
+        h + c
+
+
+@pytest.mark.parametrize("x", [0.5, Decimal("0.5"), "1/2"])
+def test_class_function_refuses_a_non_rational_scalar(x):
+    message = f"a ClassFunction scalar is {x!r} of class {type(x).__name__}"
+    for run in (lambda: braid_character(4, 1) * x, lambda: x * braid_character(4, 1)):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            run()
+    assert ClassFunction.__sub__(braid_character(4, 1), x) is NotImplemented
 
 
 # Loop definitions of the derived characters, frozen as a reference for the

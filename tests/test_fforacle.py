@@ -501,13 +501,14 @@ def test_default_budget_admits_no_refused_cell():
 
 
 @pytest.mark.parametrize(
-    "p, n", [(131, 2), (257, 2), (1009, 2), (10007, 1), (46349, 1), (1031, 2)]
+    "p, n", [(131, 2), (257, 2), (1009, 2), (10007, 1), (46349, 1), (1031, 2), (26759, 2)]
 )
 def test_vector_census_large_primes(p, n):
     # the sieve's digits and their products must not wrap for p >= 128;
     # (46349, 1) and (1031, 2) are the first cells of their degree whose
-    # wide lanes overflow a word
-    assert census_vs_theory(p, n).all_ok
+    # wide lanes overflow a word; 26759 is the first prime with
+    # 3 (p - 1)^2 > 2^31 - 1, whose sieve rows need int64
+    assert census_vs_theory(p, n, budget=p**n).all_ok
 
 
 def clear_factor_tables():
@@ -770,6 +771,28 @@ def test_bad_inputs_rejected():
         factor_type_census(4, 3)
     with pytest.raises(ValueError):
         factor_type_census(2, 0)
+
+
+def test_census_reads_numpy_integers_as_ints():
+    report = census_vs_theory(np.int64(3), np.int64(4), budget=np.int64(81))
+    assert report == census_vs_theory(3, 4)
+    assert type(report.p) is int and type(report.n) is int
+    lists = enumerate_irreducibles(np.int32(3), np.int64(2), budget=np.int16(9))
+    assert lists == enumerate_irreducibles(3, 2)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: census_vs_theory(3.0, 4),
+        lambda: factor_type_census(3, 4.0),
+        lambda: factor_type_census(3, 4, budget=81.0),
+        lambda: enumerate_irreducibles(3.0, 2),
+    ],
+)
+def test_census_refuses_a_float(run):
+    with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+        run()
 
 
 def poly_add(a, b, p):

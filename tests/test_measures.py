@@ -1,8 +1,11 @@
 """Splitting measure coefficients and evaluation."""
 
+import re
 from dataclasses import fields
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -120,6 +123,22 @@ def test_partition_validated_before_the_cache():
     for bad in ((1, 2), (2, 0), ()):
         with pytest.raises(ValueError):
             splitting_coefficients(bad)
+
+
+@pytest.mark.parametrize("z", [0.1, 0.5, Decimal("0.5"), "1/2"])
+def test_a_non_rational_z_is_refused(z):
+    message = f"z of a splitting measure is {z!r} of class {type(z).__name__}"
+    with pytest.raises(TypeError, match=re.escape(message)):
+        measure_value((2, 1, 1), z)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        splitting_coefficients((3, 1)).value(z, per_element=True)
+
+
+def test_numpy_integer_z_is_its_int():
+    for z in (np.int64(-3), np.int32(7), np.uint8(2)):
+        for lam in partitions(5):
+            assert measure_value(lam, z) == measure_value(lam, int(z))
+            assert type(measure_value(lam, z).numerator) is int
 
 
 def test_pole_at_zero_refused():

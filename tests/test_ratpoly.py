@@ -1,8 +1,11 @@
 """Exact rational polynomials, necklace and cycle polynomials."""
 
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -212,3 +215,47 @@ def test_evaluation_is_a_homomorphism(a, b, x):
 @given(polys)
 def test_string_roundtrip_hypothesis(p):
     assert [Fraction(s) for s in p.to_strings()] == list(p.coeffs)
+
+
+RATIONALS = [3, Fraction(-3, 2), np.int64(3), Fraction(np.int64(-3), np.int64(2))]
+NON_RATIONALS = [0.5, Decimal("0.5"), "1/2"]
+
+
+@pytest.mark.parametrize("c", RATIONALS)
+def test_scalar_arithmetic_takes_every_rational(c):
+    q = Fraction(int(c.numerator), int(c.denominator))
+    const = RatPoly((q,))
+    assert const == c and RatPoly((c,)) == const and Z != c
+    assert hash(RatPoly((c,))) == hash(const)
+    assert Z + c == c + Z == RatPoly((q, 1))
+    assert Z - c == RatPoly((-q, 1)) and c - Z == RatPoly((q, -1))
+    assert Z * c == c * Z == RatPoly((0, q)) and Z / c == RatPoly((0, 1 / q))
+    assert (Z + c)(c) == 2 * q
+    # every coefficient is stored as a Fraction of Python ints
+    assert all(type(a.numerator) is int for a in (Z + c).coeffs)
+    assert repr(Z - c) == f"RatPoly({[-q, Fraction(1)]!r})"
+
+
+def test_a_fraction_of_numpy_integers_is_read_as_ints():
+    # stored as given, its int64 numerator would wrap: 2^62 * 4 = 2^64
+    assert RatPoly((Fraction(np.int64(2**62)), 0, 1)) * 4 == RatPoly((2**64, 0, 4))
+
+
+@pytest.mark.parametrize("x", NON_RATIONALS)
+def test_a_non_rational_is_refused(x):
+    message = f"a RatPoly coefficient or scalar is {x!r} of class {type(x).__name__}"
+    for run in (
+        lambda: RatPoly((x,)),
+        lambda: RatPoly((1, x)),
+        lambda: Z + x,
+        lambda: x + Z,
+        lambda: Z - x,
+        lambda: Z * x,
+        lambda: Z / x,
+        lambda: cycle_polynomial((2, 1, 1))(x),
+    ):
+        with pytest.raises(TypeError, match=re.escape(message)):
+            run()
+    # a comparison is not an operation: a non-rational is simply unequal
+    assert RatPoly.__eq__(ONE, x) is NotImplemented
+    assert ONE != x

@@ -21,6 +21,7 @@ from braidchar.tables import (
     M_LIMIT_EXPONENT,
     TABLE_LIMITS,
     TABLE_NAMES,
+    Z_BITS_LIMIT,
     emit_table,
     render,
 )
@@ -364,6 +365,18 @@ def test_cli_verify_json():
         ("oracle", "--p", str(1073741827 * 1073741831), "--n", "1", "--budget", str(2**61)),
         ("oracle", "--p", "3317044064679887385961983", "--n", "1", "--budget", str(10**25)),
         ("oracle", "--p", "3", "--n", "100000000"),
+        # a --z that, or whose value, has a part of more than 4300 digits
+        ("measure", "--n", "25", "--z", "1/1" + "0" * 200),
+        ("cycle-poly", "--lambda", "5,3", "--z", "1" + "0" * 600),
+        ("cycle-poly", "--lambda", ",".join(["1"] * 800), "--z", "777777777"),
+        ("cycle-poly", "--lambda", "", "--z", "1e5000"),
+        # a --z past Z_BITS_LIMIT, refused before it is evaluated
+        ("cycle-poly", "--lambda", ",".join(["1"] * 800), "--z", str(2**626 - 1)),
+        ("measure", "--n", "25", "--z", "1e1000000"),
+        # an exponent so large that parsing alone would run away: 10^(10^9)
+        # is a 415 MB integer
+        ("measure", "--n", "5", "--z", "1e1000000000"),
+        ("cycle-poly", "--lambda", "", "--z", "-2.5E-0001000000000"),
     ],
 )
 def test_cli_usage_errors_exit_two(args):
@@ -410,6 +423,35 @@ def test_cli_size_refusal_names_the_limit():
     assert f"m <= 10^{M_LIMIT_EXPONENT}" in res.output
 
 
+def test_cli_z_refusal_names_the_limit():
+    ones = ",".join(["1"] * COMMAND_LIMITS["cycle-poly"])
+    res = run_cli("cycle-poly", "--lambda", ones, "--z", str(2**626 - 1))
+    assert res.exit_code == 2
+    assert f"degree x bits of --z <= {Z_BITS_LIMIT}" in res.output and "800 x 626" in res.output
+    res = run_cli("cycle-poly", "--lambda", ones, "--z", "777777777")
+    assert res.exit_code == 2
+    assert "the value at z has a part of more than 4300 digits" in res.output
+    res = run_cli("measure", "--n", "25", "--z", "1/1" + "0" * 200, "--format", "json")
+    assert res.exit_code == 2
+    assert re.search(r"the measure of \(.*\) at z has a part of more than 4300 digits", res.output)
+    # Fraction also reads surrounding blanks and digit groups
+    for z in ("1e1000000000", " 1e+1000000000 ", "1E1_000_000_000", "-2.5e-0_001000000000"):
+        res = run_cli("measure", "--n", "5", "--z", z)
+        assert res.exit_code == 2
+        assert "--z takes exponents of at most 5 digits; got one of 10" in res.output
+
+
+def test_cli_z_that_prints_is_admitted():
+    # a --z whose values print is admitted at the largest sizes: z = 1000
+    # for the cycle-poly limit, and a 180-digit denominator for the measure one
+    ones = ",".join(["1"] * COMMAND_LIMITS["cycle-poly"])
+    res = run_cli("cycle-poly", "--lambda", ones, "--z", "1000")
+    assert res.exit_code == 0, res.output
+    assert "value at z = 1000: " in res.output
+    res = run_cli("measure", "--n", str(COMMAND_LIMITS["measure"]), "--z", "1/" + "3" * 180)
+    assert res.exit_code == 0, res.output[-300:]
+
+
 def test_readme_limits_table_matches_the_code():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = text.split("| command | largest accepted |", 1)[1].split("\n\n", 1)[0]
@@ -426,3 +468,5 @@ def test_readme_limits_table_matches_the_code():
     }
     assert documented == TABLE_LIMITS
     assert rows["`decompose --which b*`"].strip() == f"`--m` up to 10^{M_LIMIT_EXPONENT}"
+    z_row = rows["`measure --z`, `cycle-poly --z`"]
+    assert re.search(rf"\b{Z_BITS_LIMIT}\b", z_row) and "4300 digits" in z_row
