@@ -28,7 +28,7 @@ from .tables import (
     COMMAND_LIMITS, FORMATS, M_LIMIT_EXPONENT, TABLE_NAMES, Z_BITS_LIMIT, check_digits,
     emit_table, json_number, measures_table, render, terms_json,
 )
-from .verify import SUITE_NAMES, VerifyLimits, run_suite
+from .verify import SUITE_NAMES, run_suite
 
 
 def _parse_z(text: str | None, command: str, degree: int) -> Fraction | None:
@@ -305,7 +305,7 @@ def table(name: str, n: int | None, max_n: int | None, fmt: str) -> None:
 @format_option(("text", "json"))
 def verify(suite: str, max_n: int | None, fmt: str) -> None:
     """Run a verification suite; exits 1 when any check fails."""
-    report = run_suite(suite, VerifyLimits().capped(max_n))
+    report = run_suite(suite, max_n)
     payload = {
         "suite": report.suite,
         "passed": report.passed,

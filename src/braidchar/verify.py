@@ -5,11 +5,11 @@ each comparing two independently computed quantities at one (n, k,
 partition) or similar.  One function, ``_compare``, consumes every stream:
 it counts the cells and records the first mismatches, naming the cell and
 both values.  A check that compared no cells (its range is empty under the
-limits) passes with status SKIP, never PASS.  Streams are generators that
+cap) passes with status SKIP, never PASS.  Streams are generators that
 build each per-n object (a character, the regular character) once per n,
 binding it with ``for x in [...]`` where a generator expression needs it.
 Suites are deterministic: the check list and its order depend only on the
-limits, never on timing or scheduling.
+cap, never on timing or scheduling.
 
 Four identity checks compare exact integers, the forms the library stores:
 the cycle-polynomial sum reads sum_lam |C_lam| z_lam N_lam = n! (z^n -
@@ -23,16 +23,20 @@ acceptance criterion 11, ``tests/test_ratpoly.py`` and
 construction, so they call the unvalidated cores (`_splitting_measure`,
 `_closed_form`); input is validated where it enters the library.
 
-With the default limits a full ``run_suite("all")``, 71 checks, reports
-0.14 s on a 2-core machine: polynomial/character identities up to n = 12,
-anything needing full character tables up to n = 9, and a finite-field
-census grid capped at 10**6 polynomials per (p, n) cell.
+Four constants set the ranges: polynomial/character identities run to
+n = ``MAX_N``, anything needing full character tables to n = ``MAX_N_CLASS``,
+and the finite-field census takes every (p, n) with p in ``ORACLE_PRIMES``
+and p^n <= ``ORACLE_LIMIT``.  ``run_suite(name, max_n)`` caps each range at
+n <= max_n, the census degree included.  With no cap a full
+``run_suite("all")``, 71 checks, reports 0.3-0.4 s on a 2-core machine.
 """
 
 from __future__ import annotations
 
+import operator
+import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import factorial, prod
 from typing import Any, Callable, Iterable, Iterator
@@ -64,16 +68,21 @@ SUITE_NAMES = (
     "all",
 )
 
+MAX_N = 12  # polynomial and character identities
+MAX_N_CLASS = 9  # sweeps that need full character tables
+ORACLE_PRIMES = (2, 3, 5, 7)
+ORACLE_LIMIT = 10**6  # polynomials per census cell: p^n <= ORACLE_LIMIT
+
 
 @dataclass(frozen=True)
 class Check:
-    """One check's outcome; cells is the number of cells it compared (None
-    when not counted), and a passing check with no cells is a SKIP."""
+    """One check's outcome; cells is the number of cells it compared, and a
+    passing check with no cells is a SKIP."""
 
     description: str
     passed: bool
     details: str = ""
-    cells: int | None = None
+    cells: int = field(kw_only=True)
 
     @property
     def status(self) -> str:
@@ -112,27 +121,6 @@ class SuiteReport:
         return out
 
 
-@dataclass(frozen=True)
-class VerifyLimits:
-    """Ranges each suite sweeps; the defaults match the documented budget."""
-
-    max_n: int = 12
-    max_n_class: int = 9
-    oracle_primes: tuple[int, ...] = (2, 3, 5, 7)
-    oracle_limit: int = 10**6
-    oracle_max_degree: int | None = None
-
-    def capped(self, max_n: int | None) -> "VerifyLimits":
-        if max_n is None:
-            return self
-        return replace(
-            self,
-            max_n=min(self.max_n, max_n),
-            max_n_class=min(self.max_n_class, max_n),
-            oracle_max_degree=max_n,
-        )
-
-
 Cell = tuple[Any, Any, Any]  # (where, got, want)
 
 
@@ -151,7 +139,7 @@ def _compare(description: str, cells: Iterable[Cell]) -> Check:
     shown = "; ".join(bad[:3])
     if len(bad) > 3:
         shown += f"; and {len(bad) - 3} more"
-    return Check(description, False, shown, count)
+    return Check(description, False, shown, cells=count)
 
 
 def _label(where) -> str:
@@ -168,9 +156,9 @@ def _label(where) -> str:
 # tables: every frozen reference row against fresh computation
 
 
-def _suite_tables(limits: VerifyLimits) -> Iterator[Check]:
+def _suite_tables(cap: int) -> Iterator[Check]:
     for n, rows in sorted(reference.MEASURE_ROWS.items()):
-        if n > limits.max_n:  # nothing above the cap is computed, so the check SKIPs
+        if n > min(MAX_N, cap):  # nothing above the cap is computed, so the check SKIPs
             yield _compare(f"splitting measure table n={n}", [])
             continue
         want = {lam: (size, z_order, tuple(alpha)) for lam, size, z_order, alpha in rows}
@@ -187,7 +175,7 @@ def _suite_tables(limits: VerifyLimits) -> Iterator[Check]:
             (((n, lam), got.get(lam), want.get(lam)) for lam in {**want, **got}),
         )
 
-    top = min(limits.max_n_class, max(reference.BETTI_TRIANGLE))
+    top = min(MAX_N_CLASS, cap, max(reference.BETTI_TRIANGLE))
     yield _compare(
         f"cohomology dimension triangle n<={top}",
         ((f"(n={n}, k={k})", braid_character(n, k)((1,) * n) if k <= n else 0, want)
@@ -201,7 +189,7 @@ def _suite_tables(limits: VerifyLimits) -> Iterator[Check]:
          for k, want in enumerate(reference.A_DIM_TRIANGLE[n])),
     )
 
-    top = limits.max_n_class
+    top = min(MAX_N_CLASS, cap)
     yield _compare(
         f"k=1 decomposition table n<={top}",
         ((f"(n={n}, k=1, {which})", decompose(fn(n, 1)).as_dict(), want)
@@ -239,8 +227,8 @@ def _class_weighted_sum(n: int, row: Callable[[Partition], tuple[int, ...]]) -> 
         [class_data(lam).class_size * c for c in row(lam)] for lam in partitions(n)))]
 
 
-def _suite_identities(limits: VerifyLimits) -> Iterator[Check]:
-    max_n, top = limits.max_n, limits.max_n_class
+def _suite_identities(cap: int) -> Iterator[Check]:
+    max_n, top = min(MAX_N, cap), min(MAX_N_CLASS, cap)
     zero = RatPoly([0])
     yield _compare(
         f"necklace inversion sum_d d*M_d = z^j, j<={max_n}",
@@ -310,8 +298,8 @@ def _suite_identities(limits: VerifyLimits) -> Iterator[Check]:
 # support: vanishing conditions on h_n^k
 
 
-def _suite_support(limits: VerifyLimits) -> Iterator[Check]:
-    max_n = limits.max_n
+def _suite_support(cap: int) -> Iterator[Check]:
+    max_n = min(MAX_N, cap)
     for description, vanishes in (
         ("h vanishes when every part exceeds 2k (k>=1)",
          lambda n, k, lam: k >= 1 and min(lam) > 2 * k),
@@ -335,8 +323,8 @@ def _special(n: int) -> set:
     return {(1,) * n, (2,) + (1,) * (n - 2)}
 
 
-def _suite_regular(limits: VerifyLimits) -> Iterator[Check]:
-    top = limits.max_n_class
+def _suite_regular(cap: int) -> Iterator[Check]:
+    top = min(MAX_N_CLASS, cap)
     yield _compare(
         f"sign-twisted sum equals regular character, n<={top}",
         (((n, lam), twisted(lam), regular(lam))
@@ -369,8 +357,8 @@ def _tails(n: int, k: int) -> dict:
     return decompose(a_character(n, k)).tail_multiset()
 
 
-def _suite_stability(limits: VerifyLimits) -> Iterator[Check]:
-    top = limits.max_n_class
+def _suite_stability(cap: int) -> Iterator[Check]:
+    top = min(MAX_N_CLASS, cap)
     for k, start in ((1, 4), (2, 7)):
         # tails are stable from `start` on and differ one step below it;
         # nothing above the cap is decomposed
@@ -390,20 +378,19 @@ def _suite_stability(limits: VerifyLimits) -> Iterator[Check]:
 # oracle: exhaustive finite-field censuses against the cycle polynomials
 
 
-def _oracle_grid(limits: VerifyLimits) -> list[tuple[int, int]]:
-    cap = limits.oracle_max_degree
+def _oracle_grid(cap: int) -> list[tuple[int, int]]:
     grid = []
-    for p in limits.oracle_primes:
+    for p in ORACLE_PRIMES:
         n = 1
-        while p ** n <= limits.oracle_limit and (cap is None or n <= cap):
+        while n <= cap and p ** n <= ORACLE_LIMIT:
             grid.append((p, n))
             n += 1
     return grid
 
 
-def _suite_oracle(limits: VerifyLimits) -> Iterator[Check]:
-    for p, n in _oracle_grid(limits):
-        report = census_vs_theory(p, n, budget=limits.oracle_limit)
+def _suite_oracle(cap: int) -> Iterator[Check]:
+    for p, n in _oracle_grid(cap):
+        report = census_vs_theory(p, n, budget=ORACLE_LIMIT)
         # a row's ok also holds the measure route's count, so both routes
         # are compared: (count, ok) against (predicted, True)
         cells = [((n, r.partition), (r.count, r.ok), (r.predicted, True))
@@ -445,8 +432,8 @@ def _b_difference(n: int, m: int) -> ClassFunction:
     return plus - minus
 
 
-def _suite_theorems(limits: VerifyLimits) -> Iterator[Check]:
-    top = limits.max_n_class
+def _suite_theorems(cap: int) -> Iterator[Check]:
+    top = min(MAX_N_CLASS, cap)
     for sign, target, name in (
         (-1, b_character, "the character of B_(n,m)"),
         (1, _b_difference, "the virtual character B+ - B-"),
@@ -473,23 +460,26 @@ _SUITES = {
 }
 
 
-def run_suite(name: str, limits: VerifyLimits | None = None) -> SuiteReport:
-    """Run a named suite (or "all") and return its report.
+def run_suite(name: str, max_n: int | None = None) -> SuiteReport:
+    """Run a named suite (or "all"), every range capped at n <= max_n, and
+    return its report.
 
     >>> run_suite("stability").passed
     True
     """
-    if limits is None:
-        limits = VerifyLimits()
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; expected one of {SUITE_NAMES}")
+    # with no cap each range runs to its constant
+    cap = sys.maxsize if max_n is None else operator.index(max_n)
+    if cap < 1:
+        raise ValueError(f"max_n must be at least 1, got {cap}")
     start = time.perf_counter()
     if name == "all":
         checks = [
             replace(c, description=f"{sub}: {c.description}")
             for sub in SUITE_NAMES[:-1]
-            for c in _SUITES[sub](limits)
+            for c in _SUITES[sub](cap)
         ]
     else:
-        checks = list(_SUITES[name](limits))
+        checks = list(_SUITES[name](cap))
     return SuiteReport(name, tuple(checks), time.perf_counter() - start)

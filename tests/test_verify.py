@@ -1,11 +1,13 @@
 """Runtime verification suites."""
 
 import os
+import re
 import threading
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -17,12 +19,11 @@ from braidchar.verify import (
     SUITE_NAMES,
     Check,
     SuiteReport,
-    VerifyLimits,
     _compare,
     run_suite,
 )
 
-SMALL = VerifyLimits(max_n=7, max_n_class=6, oracle_primes=(2,), oracle_limit=2**5)
+SMALL = 7  # a cap on every range
 
 
 @pytest.mark.parametrize("name", [s for s in SUITE_NAMES if s != "all"])
@@ -66,44 +67,55 @@ def test_oracle_suite_does_not_depend_on_the_thread_count(monkeypatch):
         return kernel(p, n, codes)
 
     monkeypatch.setattr(fforacle, "_packed_gcd_degree", record)
-    limits = replace(SMALL, oracle_primes=(2, 3), oracle_limit=3**6)
     checks = {}
     for threads in (1, 2):
         monkeypatch.setattr(os, "cpu_count", lambda: threads)
         ran_on.clear()
         checks[threads] = [
             (c.description, c.status, c.details, c.cells)
-            for c in run_suite("oracle", limits).checks
+            for c in run_suite("oracle", 4).checks
         ]
         main_only = ran_on == {threading.main_thread().ident}
         assert main_only == (threads == 1), threads
     assert checks[1] == checks[2]
-    assert len(checks[1]) == 15 and all(c[1] == "PASS" for c in checks[1])
+    assert len(checks[1]) == 16 and all(c[1] == "PASS" for c in checks[1])
 
 
-def test_capped_limits():
-    limits = VerifyLimits().capped(5)
-    assert limits.max_n == 5
-    assert limits.max_n_class == 5
-    assert limits.oracle_max_degree == 5
-    custom = VerifyLimits(oracle_primes=(3, 5)).capped(4)
-    assert custom.oracle_primes == (3, 5)
-    assert VerifyLimits(max_n=3).capped(8).max_n == 3
-    assert VerifyLimits().capped(None) == VerifyLimits()
+@pytest.mark.parametrize("cap", [None, 1, 5, np.int64(5), 9, 12, 20])
+def test_every_range_is_a_constant_under_the_cap(cap):
+    bound = 20 if cap is None else cap  # 2**20 > 10**6, so 20 caps nothing
+    report = run_suite("all", cap)
+    assert report.passed
+    grid = set()
+    for c in report.checks:
+        suite, description = c.description.split(": ", 1)
+        if suite == "oracle":
+            p, n = re.fullmatch(r"census over F_(\d+) degree (\d+)", description).groups()
+            grid.add((int(p), int(n)))
+        elif not re.search(r"table n=\d$|deviate at n=\d$", description):
+            [top] = re.findall(r"[nj]<=(\d+)", description)
+            assert int(top) in (min(12, bound), min(9, bound)), c.description
+    assert grid == {
+        (p, n) for p in (2, 3, 5, 7) for n in range(1, 21) if p**n <= 10**6 and n <= bound
+    }
 
 
-def test_oracle_degree_cap_prunes_grid():
-    capped = run_suite("oracle", SMALL.capped(3))
-    uncapped = run_suite("oracle", SMALL)
-    assert len(capped.checks) < len(uncapped.checks)
-    assert capped.passed
+@pytest.mark.parametrize("max_n, error", [(0, ValueError), (-1, ValueError), (2.0, TypeError)])
+def test_a_cap_below_one_or_not_an_integer_is_refused(max_n, error):
+    with pytest.raises(error):
+        run_suite("identities", max_n)
+
+
+def test_a_check_counts_its_cells():
+    with pytest.raises(TypeError, match="cells"):
+        Check("compared nothing", True)
 
 
 def test_check_rendering():
-    ok = Check("necklace inversion", True)
+    ok = Check("necklace inversion", True, cells=1)
     assert ok.status == "PASS"
     assert ok.line() == "PASS necklace inversion"
-    bad = Check("cycle sum", False, "n=3: got 7")
+    bad = Check("cycle sum", False, "n=3: got 7", cells=1)
     assert bad.status == "FAIL"
     assert bad.line() == "FAIL cycle sum: n=3: got 7"
 
@@ -111,7 +123,7 @@ def test_check_rendering():
 def test_report_summary_line():
     report = SuiteReport(
         suite="demo",
-        checks=(Check("a", True), Check("b", False, "boom")),
+        checks=(Check("a", True, cells=1), Check("b", False, "boom", cells=1)),
         elapsed=0.25,
     )
     assert not report.passed
@@ -153,10 +165,10 @@ def test_compare_without_cells_is_skip():
 
 
 def test_checks_that_compare_nothing_are_skipped():
-    report = run_suite("all", VerifyLimits().capped(1))
+    report = run_suite("all", 1)
     assert report.passed
     for c in report.checks:
-        assert c.cells is not None, c.description
+        assert isinstance(c.cells, int), c.description
         assert c.status == ("SKIP" if c.cells == 0 else "PASS"), c.description
     assert sum(c.status == "SKIP" for c in report.checks) == 19
     assert f"{len(report.checks)} checks, 19 skipped, ok" in report.lines()[-1]
@@ -192,7 +204,7 @@ def test_stability_decomposes_nothing_above_the_cap(monkeypatch):
         (7, ["PASS"] * 4),
     ):
         seen.clear()
-        report = run_suite("stability", VerifyLimits().capped(cap))
+        report = run_suite("stability", cap)
         assert [c.status for c in report.checks] == statuses
         assert max(seen, default=0) <= cap
 
@@ -205,7 +217,7 @@ def test_measure_tables_compute_nothing_above_the_cap(monkeypatch):
     )
     for cap, statuses in ((3, ["SKIP", "SKIP"]), (4, ["PASS", "SKIP"]), (5, ["PASS", "PASS"])):
         seen.clear()
-        report = run_suite("tables", VerifyLimits().capped(cap))
+        report = run_suite("tables", cap)
         measures = [c for c in report.checks if c.description.startswith("splitting")]
         assert [c.status for c in measures] == statuses
         assert max(seen, default=0) <= cap
@@ -235,7 +247,7 @@ def test_tables_suite_fails_on_a_wrong_reference_value(monkeypatch):
     report = run_suite("tables", SMALL)
     [bad] = report.failures
     assert bad.status == "FAIL"
-    assert bad.description == "cohomology dimension triangle n<=6"
+    assert bad.description == "cohomology dimension triangle n<=7"
     assert bad.details == "(n=4, k=2) expected 12 got 11"
     res = CliRunner().invoke(main, ["verify", "tables", "--max-n", "6"])
     assert res.exit_code == 1
@@ -374,4 +386,4 @@ def test_theorems_suite_reports_a_non_integral_multiplicity(monkeypatch):
 def test_theorems_suite_has_one_cell_per_n_and_m():
     report = run_suite("theorems", SMALL)
     assert report.passed
-    assert [c.cells for c in report.checks] == [15, 15]
+    assert [c.cells for c in report.checks] == [18, 18]
